@@ -183,7 +183,9 @@ std::vector<i64> DistProtocol::execute_partitioned(
     request_vars[static_cast<size_t>(node)] =
         requests[static_cast<size_t>(node)].var;
   }
-  Culling culling(mesh_, placement_, sort_opts_);
+  // The oracle's CULLING: its copy-path slab then serves the key and
+  // delivery lookups below and inside oracle_.distribute_stage.
+  Culling& culling = oracle_.culling_;
   std::vector<std::vector<i64>> selections;
   {
     telemetry::Span culling_span(telemetry::Cat::Phase, kCullingRun);
@@ -231,7 +233,7 @@ std::vector<i64> DistProtocol::execute_partitioned(
       for (RegionCursor cur = mesh_.cursor(whole); cur.valid();
            cur.advance()) {
         for (Packet& p : mesh_.buf(cur.id())) {
-          p.key = static_cast<u64>(placement_.page_at(p.copy, k));
+          p.key = static_cast<u64>(culling.page_of(p.origin, p.copy, k));
         }
       }
       i64 steps = sort_region(mesh_, whole, sort_opts_);
@@ -285,7 +287,7 @@ std::vector<i64> DistProtocol::execute_partitioned(
     for (const Region& g : owned_regions_[1]) {
       for (RegionCursor cur = mesh_.cursor(g); cur.valid(); cur.advance()) {
         for (Packet& p : mesh_.buf(cur.id())) {
-          p.dest = mesh_.node_id(placement_.locate(p.copy).node);
+          p.dest = culling.home_of(p.origin, p.copy);
         }
       }
       local_max = std::max(local_max, route_greedy(mesh_, g).steps);

@@ -187,13 +187,12 @@ DistRouteStats dist_route_whole(Mesh& mesh, const RankPartition& part,
              "mesh too large for 16-bit transit coordinates");
   i64 local_in_flight = 0;
   i64 max_depth = 0;
-  ar.frontier.clear();
   for (RegionCursor cur(band_region, mesh.cols()); cur.valid();
        cur.advance()) {
-    const Coord x = cur.coord();
     const i32 id = cur.id();
     auto& b = mesh.buf(id);
     auto keep = b.begin();
+    i64 depth = 0;
     for (Packet& p : b) {
       MP_REQUIRE(p.dest >= 0 && p.dest < mesh.size(),
                  "packet without destination");
@@ -206,17 +205,12 @@ DistRouteStats dist_route_whole(Mesh& mesh, const RankPartition& part,
                                           static_cast<i16>(d.c)});
         ar.setup_pos.push_back(cur.pos());
         ar.payload.push_back(p);
-        const i32 depth = ++ar.count(cur.pos());
-        if (depth == 1) {
-          ar.frontier.push_back({static_cast<i32>(cur.pos()),
-                                 static_cast<i16>(x.r),
-                                 static_cast<i16>(x.c)});
-        }
-        max_depth = std::max<i64>(max_depth, depth);
-        ++local_in_flight;
+        ++depth;
       }
     }
     b.erase(keep, b.end());
+    max_depth = std::max(max_depth, depth);
+    local_in_flight += depth;
   }
 
   i64 in_flight = coll.allreduce_sum(local_in_flight);
@@ -228,7 +222,6 @@ DistRouteStats dist_route_whole(Mesh& mesh, const RankPartition& part,
   // Even a rank with no local packets must lay out its lanes and join every
   // sweep: imports may land on it from the first step on.
   ar.layout(std::max<i64>(kNumDirs, max_depth + route_initial_headroom()));
-  for (const ActiveNode& an : ar.frontier) ar.count(an.pos) = 0;
   for (size_t i = 0; i < ar.setup_rec.size(); ++i) {
     const i64 pos = ar.setup_pos[i];
     ar.queue(pos)[ar.count(pos)++] = ar.setup_rec[i];

@@ -19,6 +19,10 @@
 //             bytes, not a packed mask, so concurrent lane writes to one node
 //             never touch the same byte.
 //
+// Each arena also caches, per region extent, the slot maps, slot
+// coordinates and neighbour slots (RouteShape), and carries the serial
+// router's active/arrived bitmaps over physical slots.
+//
 // Ownership/reuse contract: arenas are leased from Mesh::route_arenas() for
 // the duration of one route_greedy call and returned to the pool afterwards,
 // keeping their heap capacity. Pooling (rather than one arena on the Mesh) is
@@ -38,15 +42,6 @@
 
 namespace meshpram {
 
-/// Entry of the serial router's active lists: a snake position with its
-/// coordinate cached, so the per-step loops never re-derive (r, c) from the
-/// position. 8 bytes.
-struct ActiveNode {
-  i32 pos;
-  i16 r;
-  i16 c;
-};
-
 /// A packet in transit: handle into RouteArena::payload plus the destination
 /// coordinate cached at setup, so the per-step loops stop re-deriving it from
 /// the node id. 8 bytes — a queue sweep touches 14x less memory than moving
@@ -58,36 +53,102 @@ struct TransitRec {
 };
 static_assert(sizeof(TransitRec) == 8, "TransitRec must stay one word");
 
+/// Region-local (row, col) of a physical slot.
+struct SlotCoord {
+  i16 r;
+  i16 c;
+};
+
+/// Lookup tables for one region extent under one node order. Route calls
+/// repeat the same tessellation extents constantly, so each arena builds a
+/// shape's tables once and keeps them (RouteArena::reset).
+struct RouteShape {
+  int rows = 0;
+  int cols = 0;
+  NodeOrderKind order = NodeOrderKind::RowMajor;
+  std::vector<i32> pos_slot;     ///< snake position -> physical slot
+  std::vector<i32> slot_pos;     ///< physical slot -> snake position
+  std::vector<SlotCoord> coord;  ///< physical slot -> region-local (r, c)
+  /// nbr[slot * kNumDirs + dir] = slot of the neighbour in direction `dir`
+  /// (Dir values N, E, S, W), -1 where the step leaves the region.
+  std::vector<i32> nbr;
+
+  RouteShape(int rows_, int cols_, NodeOrderKind order_)
+      : rows(rows_), cols(cols_), order(order_) {
+    const i64 n = static_cast<i64>(rows) * cols;
+    pos_slot.resize(static_cast<size_t>(n));
+    slot_pos.resize(static_cast<size_t>(n));
+    coord.resize(static_cast<size_t>(n));
+    nbr.resize(static_cast<size_t>(n) * kNumDirs);
+    // Under a curve order the per-node blocks follow the same curve as the
+    // mesh's node state; row-major keeps slot == snake position.
+    std::vector<i32> id_at_slot;
+    if (order != NodeOrderKind::RowMajor) {
+      fill_curve_order(rows, cols, order, id_at_slot);
+    }
+    for (i64 s = 0; s < n; ++s) {
+      i64 pos = s;
+      int r = static_cast<int>(s / cols);
+      int c = static_cast<int>(s % cols);
+      if (order == NodeOrderKind::RowMajor) {
+        if ((r & 1) != 0) c = cols - 1 - c;
+      } else {
+        const i32 rm = id_at_slot[static_cast<size_t>(s)];
+        r = rm / cols;
+        c = rm % cols;
+        pos = static_cast<i64>(r) * cols + ((r & 1) == 0 ? c : cols - 1 - c);
+      }
+      pos_slot[static_cast<size_t>(pos)] = static_cast<i32>(s);
+      slot_pos[static_cast<size_t>(s)] = static_cast<i32>(pos);
+      coord[static_cast<size_t>(s)] = {static_cast<i16>(r),
+                                       static_cast<i16>(c)};
+    }
+    const auto snake = [this](int r, int c) -> i32 {
+      if (r < 0 || r >= rows || c < 0 || c >= cols) return -1;
+      const i64 pos =
+          static_cast<i64>(r) * cols + ((r & 1) == 0 ? c : cols - 1 - c);
+      return pos_slot[static_cast<size_t>(pos)];
+    };
+    for (i64 s = 0; s < n; ++s) {
+      const SlotCoord x = coord[static_cast<size_t>(s)];
+      i32* out = nbr.data() + s * kNumDirs;
+      out[static_cast<int>(Dir::North)] = snake(x.r - 1, x.c);
+      out[static_cast<int>(Dir::East)] = snake(x.r, x.c + 1);
+      out[static_cast<int>(Dir::South)] = snake(x.r + 1, x.c);
+      out[static_cast<int>(Dir::West)] = snake(x.r, x.c - 1);
+    }
+  }
+};
+
 class RouteArena {
  public:
   /// Tombstone handle used by the mark-and-compact commit in route_greedy.
   static constexpr u32 kInvalidHandle = ~0u;
 
   /// Starts a new route call over `region`: clears the payload and setup
-  /// scratch, zeroes queue counts and lane flags. Capacities of all slabs are
-  /// kept (reuse contract). `order` picks the physical placement of the
-  /// per-node queue/lane blocks: under Hilbert the blocks follow the same
-  /// curve as the mesh's node state, so neighboring nodes' transit queues
-  /// share cache lines at every tessellation level. Purely physical — every
-  /// accessor below still takes snake positions.
+  /// scratch, zeroes queue counts, lane flags and the serial router's
+  /// bitmaps. Capacities of all slabs are kept (reuse contract). `order`
+  /// picks the physical placement of the per-node queue/lane blocks: under
+  /// Hilbert the blocks follow the same curve as the mesh's node state, so
+  /// neighboring nodes' transit queues share cache lines at every
+  /// tessellation level. Purely physical — every position-addressed accessor
+  /// below still takes snake positions.
   void reset(const Region& region, NodeOrderKind order) {
     nodes_ = region.size();
     payload.clear();
     setup_rec.clear();
     setup_pos.clear();
-    build_slot_map(region, order);
+    select_shape(region, order);
     count_.assign(static_cast<size_t>(nodes_), 0);
     in_rec_.resize(static_cast<size_t>(nodes_) * kNumDirs);
     in_full_.assign(static_cast<size_t>(nodes_) * kNumDirs, 0);
-    arrival_mark.assign(static_cast<size_t>(nodes_), 0);
-    in_frontier.assign(static_cast<size_t>(nodes_), 0);
-    frontier.clear();
-    frontier_next.clear();
-    arrivals.clear();
+    const size_t words = static_cast<size_t>((nodes_ + 63) / 64);
+    active.assign(words, 0);
+    arrived.assign(words, 0);
   }
 
   /// Sizes the strided queue slab for `cap` records per node. Contents are
-  /// garbage until scattered into; counts must be (re)filled by the caller.
+  /// garbage until scattered into; counts must be zero.
   void layout(i64 cap) {
     MP_ASSERT(cap >= kNumDirs, "queue capacity " << cap);
     cap_ = cap;
@@ -119,19 +180,16 @@ class RouteArena {
     return in_full_.data() + slot(pos) * kNumDirs;
   }
 
-  /// Slot-addressed variants for hot loops: under a curve order every
-  /// position-addressed accessor above pays a pos→slot table load, so the
-  /// serial router translates each position once and addresses the per-node
-  /// arrays by slot from then on.
-  i64 slot_of(i64 pos) const { return slot(pos); }
-  TransitRec* queue_at(i64 s) { return rec_.data() + s * cap_; }
-  i32& count_at(i64 s) { return count_[static_cast<size_t>(s)]; }
-  TransitRec& lane_rec_at(i64 s, int lane) {
-    return in_rec_[static_cast<size_t>(s * kNumDirs + lane)];
-  }
-  unsigned char* lane_flags_at(i64 s) {
-    return in_full_.data() + s * kNumDirs;
-  }
+  /// Flat slot-addressed views for the serial router's hot loops, which
+  /// walk physical slots and so skip the pos→slot lookup. The queue slab
+  /// moves on grow(): re-read queue_base() after one.
+  i32* counts() { return count_.data(); }
+  TransitRec* queue_base() { return rec_.data(); }
+  TransitRec* lane_recs() { return in_rec_.data(); }
+  unsigned char* lane_full() { return in_full_.data(); }
+
+  /// Tables of the current call's region extent (valid after reset()).
+  const RouteShape& shape() const { return *shape_; }
 
   /// In-flight packets, appended at setup; stable until the call completes.
   std::vector<Packet> payload;
@@ -140,49 +198,40 @@ class RouteArena {
   std::vector<TransitRec> setup_rec;
   std::vector<i64> setup_pos;
 
-  /// Serial-path active lists (see route_greedy): nodes with a non-empty
-  /// transit queue, nodes that received a lane deposit this step, and their
-  /// membership bytes (indexed by snake position).
-  std::vector<ActiveNode> frontier;
-  std::vector<ActiveNode> frontier_next;
-  std::vector<ActiveNode> arrivals;
-  std::vector<unsigned char> arrival_mark;
-  std::vector<unsigned char> in_frontier;
+  /// Serial-router bitmaps over physical slots (bit s of word s / 64):
+  /// `active` marks nodes with a non-empty transit queue, `arrived` the
+  /// nodes that received a lane deposit this step. Zeroed by reset().
+  std::vector<u64> active;
+  std::vector<u64> arrived;
 
  private:
-  i64 slot(i64 pos) const {
-    return pos_slot_.empty() ? pos : pos_slot_[static_cast<size_t>(pos)];
-  }
+  /// At most this many extents keep tables; the oldest is dropped first.
+  static constexpr size_t kMaxShapes = 32;
 
-  /// Physical slot of each snake position under `order`, cached per region
-  /// geometry (route calls repeat the same tessellation extents constantly).
-  void build_slot_map(const Region& region, NodeOrderKind order) {
-    if (order == NodeOrderKind::RowMajor) {
-      pos_slot_.clear();
-      curve_rows_ = curve_cols_ = 0;
-      return;
+  i64 slot(i64 pos) const { return shape_->pos_slot[static_cast<size_t>(pos)]; }
+
+  void select_shape(const Region& region, NodeOrderKind order) {
+    const auto matches = [&](const RouteShape& sh) {
+      return sh.rows == region.rows() && sh.cols == region.cols() &&
+             sh.order == order;
+    };
+    if (shape_ != nullptr && matches(*shape_)) return;
+    for (const auto& sh : shapes_) {
+      if (matches(*sh)) {
+        shape_ = sh.get();
+        return;
+      }
     }
-    if (curve_rows_ == region.rows() && curve_cols_ == region.cols()) return;
-    curve_rows_ = region.rows();
-    curve_cols_ = region.cols();
-    std::vector<i32> id_at_slot;
-    fill_curve_order(curve_rows_, curve_cols_, order, id_at_slot);
-    pos_slot_.assign(id_at_slot.size(), 0);
-    const int cols = curve_cols_;
-    for (size_t s = 0; s < id_at_slot.size(); ++s) {
-      const i32 rm = id_at_slot[s];
-      const int r = rm / cols, c = rm % cols;
-      const i64 pos =
-          static_cast<i64>(r) * cols + ((r & 1) == 0 ? c : cols - 1 - c);
-      pos_slot_[static_cast<size_t>(pos)] = static_cast<i32>(s);
-    }
+    if (shapes_.size() == kMaxShapes) shapes_.erase(shapes_.begin());
+    shapes_.push_back(
+        std::make_unique<RouteShape>(region.rows(), region.cols(), order));
+    shape_ = shapes_.back().get();
   }
 
   i64 nodes_ = 0;
   i64 cap_ = 0;
-  int curve_rows_ = 0;
-  int curve_cols_ = 0;
-  std::vector<i32> pos_slot_;
+  std::vector<std::unique_ptr<RouteShape>> shapes_;
+  const RouteShape* shape_ = nullptr;
   std::vector<TransitRec> rec_;
   std::vector<i32> count_;
   std::vector<TransitRec> in_rec_;

@@ -21,13 +21,6 @@ Coord Region::at_snake(i64 s) const {
   return {r0_ + lr, c0_ + (lr % 2 == 0 ? lc : cols_ - 1 - lc)};
 }
 
-i64 Region::snake_of(Coord x) const {
-  MP_REQUIRE(contains(x), "coordinate " << x << " outside " << *this);
-  const int lr = x.r - r0_;
-  const int lc = x.c - c0_;
-  return static_cast<i64>(lr) * cols_ + (lr % 2 == 0 ? lc : cols_ - 1 - lc);
-}
-
 std::vector<Region> Region::grid_split(i64 k) const {
   MP_REQUIRE(1 <= k && k <= size(),
              "grid_split(" << k << ") of region " << *this << " with "

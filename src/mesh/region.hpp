@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "mesh/geometry.hpp"
+#include "util/error.hpp"
 
 namespace meshpram {
 
@@ -33,8 +34,14 @@ class Region {
   /// Coordinate at snake position s (s in [0, size())).
   Coord at_snake(i64 s) const;
 
-  /// Snake position of coordinate x (must be contained).
-  i64 snake_of(Coord x) const;
+  /// Snake position of coordinate x (must be contained). Inline: the serial
+  /// router checks every hop against it.
+  i64 snake_of(Coord x) const {
+    MP_REQUIRE(contains(x), "coordinate " << x << " outside " << *this);
+    const int lr = x.r - r0_;
+    const int lc = x.c - c0_;
+    return static_cast<i64>(lr) * cols_ + (lr % 2 == 0 ? lc : cols_ - 1 - lc);
+  }
 
   /// Splits the region into exactly k disjoint non-empty subrectangles with
   /// near-equal areas, arranged as a g_r x g_c grid with proportional cuts.

@@ -38,7 +38,10 @@ const telemetry::Label kCollect = telemetry::intern("access.collect");
 
 AccessProtocol::AccessProtocol(Mesh& mesh, const Placement& placement,
                                SortOptions sort_opts)
-    : mesh_(mesh), placement_(placement), sort_opts_(sort_opts) {
+    : mesh_(mesh),
+      placement_(placement),
+      sort_opts_(sort_opts),
+      culling_(mesh, placement, sort_opts) {
   const int k = placement.map().params().k();
   level_regions_.resize(static_cast<size_t>(k) + 1);
   for (int i = 1; i <= k; ++i) {
@@ -54,14 +57,16 @@ AccessProtocol::AccessProtocol(Mesh& mesh, const Placement& placement,
 
 i64 AccessProtocol::distribute_stage(const Region& region, int dest_level) {
   telemetry::Span span(telemetry::Cat::Phase, kDistribute, dest_level);
-  // Key every packet by its destination page at dest_level. Chunk-parallel
+  // Key every packet by its destination page at dest_level, read from the
+  // copy-path slab of this step's CULLING run. Chunk-parallel
   // when called for the whole mesh (stage k+1); the per-region calls come
   // from pool workers and stay serial (for_each_region_chunk gates on that).
   for_each_region_chunk(
       mesh_, region, kNodeGrain, [&](RegionCursor& cur, i64 end) {
         for (; cur.pos() < end; cur.advance()) {
           for (Packet& p : mesh_.buf(cur.id())) {
-            p.key = static_cast<u64>(placement_.page_at(p.copy, dest_level));
+            p.key = static_cast<u64>(
+                culling_.page_of(p.origin, p.copy, dest_level));
           }
         }
       });
@@ -203,11 +208,10 @@ std::vector<i64> AccessProtocol::execute(
       }
     }
   }
-  Culling culling(mesh_, placement_, sort_opts_);
   std::vector<std::vector<i64>> selections;
   {
     telemetry::Span culling_span(telemetry::Cat::Phase, kCullingRun);
-    selections = culling.run(request_vars, &st.culling,
+    selections = culling_.run(request_vars, &st.culling,
                              plan != nullptr ? &request_ok : nullptr);
     st.culling_steps = st.culling.steps;
     culling_span.set_steps(st.culling_steps);
@@ -287,7 +291,7 @@ std::vector<i64> AccessProtocol::execute(
     auto deliver = [&](const Region& g) -> i64 {
       for (RegionCursor cur = mesh_.cursor(g); cur.valid(); cur.advance()) {
         for (Packet& p : mesh_.buf(cur.id())) {
-          p.dest = mesh_.node_id(placement_.locate(p.copy).node);
+          p.dest = culling_.home_of(p.origin, p.copy);
         }
       }
       return route_greedy(mesh_, routing_faults ? mesh_.whole() : g).steps;

@@ -116,6 +116,10 @@ class AccessProtocol {
   Mesh& mesh_;
   const Placement& placement_;
   SortOptions sort_opts_;
+  /// Copy selection; kept across steps so its per-step copy-path slab keeps
+  /// its capacity. The access stages read each packet's page keys and home
+  /// node from that slab.
+  Culling culling_;
   /// Deduplicated page regions per level (shared 1x1 regions collapse).
   std::vector<std::vector<Region>> level_regions_;
   /// Degraded-mode intermediate-stop slots: alive_slots_[level][page] = alive

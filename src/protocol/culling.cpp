@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <mutex>
-#include <unordered_map>
 
 #include "routing/lroute.hpp"
 #include "routing/rank.hpp"
@@ -28,9 +26,60 @@ const telemetry::Label kCullIter = telemetry::intern("culling.iter");
 
 Culling::Culling(Mesh& mesh, const Placement& placement,
                  SortOptions sort_opts)
-    : mesh_(mesh), placement_(placement), sort_opts_(sort_opts),
-      selector_(placement.map().params().q(),
-                placement.map().params().k()) {}
+    : mesh_(mesh),
+      placement_(placement),
+      sort_opts_(sort_opts),
+      selector_(placement.map().params().q(), placement.map().params().k()),
+      k_(placement.map().params().k()),
+      ncodes_(selector_.num_codes()) {
+  for (int level = 1; level <= k_; ++level) {
+    MP_REQUIRE(placement.pages(level).size() <= 0x7FFFFFFFu,
+               "level-" << level << " page ids exceed the 32-bit path slab");
+  }
+}
+
+void Culling::fill_paths(i64 slot, i64 var) {
+  if (row_var_[static_cast<size_t>(slot)] == var) return;
+  const MemoryMap& map = placement_.map();
+  const i64 q = map.params().q();
+  const i64 stride = k_ + 1;
+  i32* row = paths_.data() + slot * ncodes_ * stride;
+  // Depth-first over the copy tree: u[d] = level-d module of the current
+  // prefix (u[0] = the variable), rank[d] = rank of edge (u[d-1], u[d])
+  // among u[d]'s neighbours in G_d. A prefix is evaluated once for all the
+  // leaves below it — sum_d q^d neighbour and edge-rank evaluations instead
+  // of k per leaf.
+  LevelPath u{}, rank{};
+  u[0] = var;
+  const auto walk = [&](const auto& self, int depth, i64 code,
+                        i64 weight) -> void {
+    const BibdSubgraph& g = map.graph(depth);
+    const i64 parent = u[static_cast<size_t>(depth - 1)];
+    for (i64 c = 0; c < q; ++c) {
+      const i64 child = g.neighbor(parent, c);
+      u[static_cast<size_t>(depth)] = child;
+      rank[static_cast<size_t>(depth)] = g.edge_rank(parent, child);
+      const i64 leaf_code = code + c * weight;
+      if (depth < k_) {
+        self(self, depth + 1, leaf_code, weight * q);
+        continue;
+      }
+      // Leaf: descend the page tree exactly like Placement::locate.
+      i32* e = row + leaf_code * stride;
+      i64 idx = child;  // level-k page index == module
+      e[k_ - 1] = static_cast<i32>(idx);
+      for (int i = k_ - 1; i >= 1; --i) {
+        idx = placement_.pages(i + 1)[static_cast<size_t>(idx)].first_child +
+              rank[static_cast<size_t>(i + 1)];
+        e[i - 1] = static_cast<i32>(idx);
+      }
+      const Region& leaf = placement_.pages(1)[static_cast<size_t>(idx)].region;
+      e[k_] = mesh_.node_id(leaf.at_snake(rank[1] % leaf.size()));
+    }
+  };
+  walk(walk, 1, 0, 1);
+  row_var_[static_cast<size_t>(slot)] = var;
+}
 
 std::vector<std::vector<i64>> Culling::run(
     const std::vector<i64>& request_vars, CullingStats* stats,
@@ -69,12 +118,15 @@ std::vector<std::vector<i64>> Culling::run(
   const NodeOrder& order = mesh_.order();
   std::vector<char> candidate(static_cast<size_t>(n * ncodes), 0);
   std::vector<char> marked(static_cast<size_t>(n * ncodes), 0);
-  // Level-i page id of each selected copy, cached by the emit loop (same
-  // slab indexing). The selection loop only ever shrinks a node's candidate
-  // set, so entries written at emit time cover every later read this iter.
-  std::vector<i64> pages(static_cast<size_t>(n * ncodes), 0);
   const auto row_of = [&](i64 slot, std::vector<char>& slab) -> char* {
     return slab.data() + slot * ncodes;
+  };
+  // Copy-path slab: sized once per mesh, rows filled on demand.
+  const i64 stride = k_ + 1;
+  paths_.resize(static_cast<size_t>(n * ncodes * stride));
+  row_var_.resize(static_cast<size_t>(n), -1);
+  const auto path_row = [&](i64 slot) -> const i32* {
+    return paths_.data() + slot * ncodes * stride;
   };
   const auto init_codes = selector_.initial(0);
   std::vector<char> avail;
@@ -83,7 +135,8 @@ std::vector<std::vector<i64>> Culling::run(
     if (var < 0) continue;
     MP_REQUIRE(var < params.num_vars(),
                "variable " << var << " outside shared memory");
-    char* bits = row_of(order.slot_of(static_cast<i32>(node)), candidate);
+    const i64 slot = order.slot_of(static_cast<i32>(node));
+    char* bits = row_of(slot, candidate);
     if (!degraded) {
       for (i64 code : init_codes) bits[code] = 1;
       continue;
@@ -92,11 +145,9 @@ std::vector<std::vector<i64>> Culling::run(
     // it lives on is alive. The plan is static, so this is decided once.
     avail.assign(static_cast<size_t>(ncodes), 1);
     i64 lost = 0;
+    fill_paths(slot, var);
     for (i64 code = 0; code < ncodes; ++code) {
-      const u64 copy = static_cast<u64>(var) *
-                           static_cast<u64>(params.redundancy()) +
-                       static_cast<u64>(code);
-      const i32 holder = mesh_.node_id(placement_.locate(copy).node);
+      const i32 holder = path_row(slot)[code * stride + k_];
       if (plan->module_dead(holder)) {
         avail[static_cast<size_t>(code)] = 0;
         ++lost;
@@ -137,16 +188,19 @@ std::vector<std::vector<i64>> Culling::run(
     const i64 steps_before = st.steps;
     const i64 tau = params.culling_threshold(iter);
 
-    // Emit one packet per selected copy, keyed by its level-i page (cached
-    // for the load instrumentation below). Each node fills only its own
-    // buffer and slab row, so the loop chunks over physical slots.
+    // Emit one packet per selected copy, keyed by its level-i page. The first
+    // iteration walks each requesting variable's copy tree into the path
+    // slab; later iterations, the load tally below and the access stages
+    // read it. Each node fills only its own buffer and slab rows, so the
+    // loop chunks over physical slots.
     execution_pool().for_each_chunk(n, kNodeGrain, [&](i64 lo, i64 hi) {
       for (i64 slot = lo; slot < hi; ++slot) {
         const i32 node = order.id_of(static_cast<i32>(slot));
         const i64 var = request_vars_eff[static_cast<size_t>(node)];
         if (var < 0) continue;
+        if (iter == 1) fill_paths(slot, var);
         const char* bits = row_of(slot, candidate);
-        i64* page_row = pages.data() + slot * ncodes;
+        const i32* paths = path_row(slot);
         auto& b = mesh_.buf(node);
         for (i64 code = 0; code < ncodes; ++code) {
           if (!bits[code]) continue;
@@ -155,9 +209,8 @@ std::vector<std::vector<i64>> Culling::run(
           p.copy = static_cast<u64>(var) *
                        static_cast<u64>(params.redundancy()) +
                    static_cast<u64>(code);
-          p.key = static_cast<u64>(placement_.page_at(p.copy, iter));
+          p.key = static_cast<u64>(paths[code * stride + iter - 1]);
           p.origin = node;
-          page_row[code] = static_cast<i64>(p.key);
           b.push_back(p);
         }
       }
@@ -231,28 +284,24 @@ std::vector<std::vector<i64>> Culling::run(
     st.steps += params.redundancy();
 
     // Instrumentation: per-level-i page load of the union of C_v^i, read
-    // from the page cache the emit loop filled (C_v^i is a subset of the
-    // emitted C_v^{i-1}, so every live code has a cached page). Each chunk
-    // counts into its own map; maps sum-merge under a mutex, which is
-    // commutative, so the final counts are thread-count invariant.
-    std::unordered_map<i64, i64> load;
-    std::mutex load_mu;
-    execution_pool().for_each_chunk(n, kNodeGrain, [&](i64 lo, i64 hi) {
-      std::unordered_map<i64, i64> chunk_load;
-      for (i64 slot = lo; slot < hi; ++slot) {
-        const i32 node = order.id_of(static_cast<i32>(slot));
-        if (request_vars_eff[static_cast<size_t>(node)] < 0) continue;
-        const char* bits = row_of(slot, candidate);
-        const i64* page_row = pages.data() + slot * ncodes;
-        for (i64 code = 0; code < ncodes; ++code) {
-          if (bits[code]) ++chunk_load[page_row[code]];
+    // from the path slab (C_v^i is a subset of the emitted C_v^{i-1}, so
+    // every live code has a recorded path). One flat count per page, tallied
+    // serially: the counts are a plain sum, so they are thread-count
+    // invariant.
+    page_load_.assign(placement_.pages(iter).size(), 0);
+    for (i64 slot = 0; slot < n; ++slot) {
+      const i32 node = order.id_of(static_cast<i32>(slot));
+      if (request_vars_eff[static_cast<size_t>(node)] < 0) continue;
+      const char* bits = row_of(slot, candidate);
+      const i32* paths = path_row(slot);
+      for (i64 code = 0; code < ncodes; ++code) {
+        if (bits[code]) {
+          ++page_load_[static_cast<size_t>(paths[code * stride + iter - 1])];
         }
       }
-      const std::lock_guard<std::mutex> lock(load_mu);
-      for (const auto& [page, cnt] : chunk_load) load[page] += cnt;
-    });
-    i64 max_load = 0;
-    for (const auto& [page, cnt] : load) max_load = std::max(max_load, cnt);
+    }
+    const i64 max_load =
+        *std::max_element(page_load_.begin(), page_load_.end());
     st.max_page_load.push_back(max_load);
     st.bound.push_back(params.theorem3_bound(iter));
     iter_span.set_steps(st.steps - steps_before);

@@ -22,6 +22,7 @@
 #include "mesh/machine.hpp"
 #include "protocol/target_set.hpp"
 #include "routing/meshsort.hpp"
+#include "util/error.hpp"
 
 namespace meshpram {
 
@@ -59,11 +60,47 @@ class Culling {
                                     CullingStats* stats,
                                     std::vector<char>* request_ok = nullptr);
 
+ /// HMOS address of a copy selected by the last run(), read from the
+  /// per-step path slab instead of re-deriving it: its level-`level` page
+  /// (Placement::page_at) and the node holding it (Placement::locate).
+  /// `origin` is the node that requested the copy's variable.
+  i64 page_of(i32 origin, u64 copy, int level) const {
+    return path_of(origin, copy)[level - 1];
+  }
+  i32 home_of(i32 origin, u64 copy) const {
+    return path_of(origin, copy)[k_];
+  }
+
  private:
+  /// Walks `var`'s copy tree once into the slab row of physical slot
+  /// `slot` (no-op when the row already holds `var`: paths are a pure
+  /// function of the variable).
+  void fill_paths(i64 slot, i64 var);
+
+  const i32* path_of(i32 origin, u64 copy) const {
+    const i64 slot = mesh_.order().slot_of(origin);
+    const u64 codes = static_cast<u64>(ncodes_);
+    MP_ASSERT(row_var_[static_cast<size_t>(slot)] ==
+                  static_cast<i64>(copy / codes),
+              "copy " << copy << " has no recorded path at node " << origin);
+    return paths_.data() +
+           (slot * ncodes_ + static_cast<i64>(copy % codes)) * (k_ + 1);
+  }
+
   Mesh& mesh_;
   const Placement& placement_;
   SortOptions sort_opts_;
   TargetSelector selector_;
+  int k_;
+  i64 ncodes_;
+  /// Per-step copy-path slab, indexed by (physical slot, code): entry
+  /// [page_1, ..., page_k, home node], stride k + 1. Filled for requesting
+  /// nodes only in the first CULLING iteration; keeps its capacity across
+  /// steps. row_var_[slot] = variable the row was filled for (-1 = none).
+  std::vector<i32> paths_;
+  std::vector<i64> row_var_;
+  /// Per-page load tally of the instrumentation, sized per level.
+  std::vector<i64> page_load_;
 };
 
 }  // namespace meshpram

@@ -14,41 +14,81 @@ TargetSelector::TargetSelector(i64 q, int k) : q_(q), k_(k) {
   for (int i = 0; i <= k; ++i) qpow_[static_cast<size_t>(i)] = ipow(q, i);
 }
 
-TargetSelector::Node TargetSelector::solve(
-    int depth, i64 prefix, int level, const std::vector<char>& candidate,
-    const std::vector<char>& marked) const {
-  Node node;
+/// Fixed per-depth scratch of solve(): one leaf buffer of q^k codes and, per
+/// tree depth, q child results plus their cost order. thread_local because
+/// select() is const and CULLING calls it from every pool worker; it only
+/// grows, so steady-state calls allocate nothing.
+struct TargetSelector::Scratch {
+  std::vector<i64> leaves;
+  std::vector<Kid> kids;
+  std::vector<i32> order;
+
+  void fit(i64 codes, i64 per_depth) {
+    if (static_cast<i64>(leaves.size()) < codes) {
+      leaves.resize(static_cast<size_t>(codes));
+    }
+    if (static_cast<i64>(kids.size()) < per_depth) {
+      kids.resize(static_cast<size_t>(per_depth));
+      order.resize(static_cast<size_t>(per_depth));
+    }
+  }
+};
+
+TargetSelector::Kid TargetSelector::solve(int depth, i64 prefix, int level,
+                                          const char* candidate,
+                                          const char* marked, Scratch& sc,
+                                          i32 pos) const {
+  Kid node;
+  node.begin = pos;
   if (depth == k_) {
-    node.feasible = candidate[static_cast<size_t>(prefix)] != 0;
+    node.feasible = candidate[prefix] != 0;
     if (node.feasible) {
-      node.cost = marked[static_cast<size_t>(prefix)] ? 0 : 1;
-      node.codes = {prefix};
+      node.cost = marked[prefix] ? 0 : 1;
+      node.len = 1;
+      sc.leaves[static_cast<size_t>(pos)] = prefix;
     }
     return node;
   }
   // Children of the node at tree depth `depth`: vary digit c_{depth+1}.
-  std::vector<Node> kids;
-  kids.reserve(static_cast<size_t>(q_));
+  // Each child writes its chosen leaves right after its left sibling's.
+  Kid* kids = sc.kids.data() + depth * q_;
+  i32* order = sc.order.data() + depth * q_;
+  i32 at = pos;
+  i64 feasible = 0;
   for (i64 c = 0; c < q_; ++c) {
-    kids.push_back(solve(depth + 1, prefix + c * qpow_[static_cast<size_t>(depth)],
-                         level, candidate, marked));
+    kids[c] = solve(depth + 1, prefix + c * qpow_[static_cast<size_t>(depth)],
+                    level, candidate, marked, sc, at);
+    at += kids[c].len;
+    // Feasible children in cost order, stable (insertion sort shifts only
+    // strictly costlier entries), so ties keep child order.
+    if (kids[c].feasible) {
+      i64 j = feasible++;
+      while (j > 0 && kids[order[j - 1]].cost > kids[c].cost) {
+        order[j] = order[j - 1];
+        --j;
+      }
+      order[j] = static_cast<i32>(c);
+    }
   }
   const i64 need = (depth >= level) ? extensive() : majority();
-  // Pick the `need` cheapest feasible children (stable order for determinism).
-  std::vector<size_t> order;
-  for (size_t i = 0; i < kids.size(); ++i) {
-    if (kids[i].feasible) order.push_back(i);
-  }
-  if (static_cast<i64>(order.size()) < need) return node;  // infeasible
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return kids[a].cost < kids[b].cost;
-  });
-  node.feasible = true;
+  if (feasible < need) return node;  // infeasible
+  // Take the `need` cheapest, then pack their leaves down in child order.
+  for (i64 c = 0; c < q_; ++c) kids[c].chosen = false;
   for (i64 t = 0; t < need; ++t) {
-    const Node& kid = kids[order[static_cast<size_t>(t)]];
+    Kid& kid = kids[order[t]];
+    kid.chosen = true;
     node.cost += kid.cost;
-    node.codes.insert(node.codes.end(), kid.codes.begin(), kid.codes.end());
   }
+  i32 w = pos;
+  for (i64 c = 0; c < q_; ++c) {
+    const Kid& kid = kids[c];
+    if (!kid.chosen) continue;
+    std::copy(sc.leaves.begin() + kid.begin,
+              sc.leaves.begin() + kid.begin + kid.len, sc.leaves.begin() + w);
+    w += kid.len;
+  }
+  node.feasible = true;
+  node.len = w - pos;
   return node;
 }
 
@@ -60,12 +100,15 @@ TargetSelector::Selection TargetSelector::select(
                  static_cast<i64>(marked.size()) == codes_,
              "bitmap size mismatch: " << candidate.size() << '/'
                                       << marked.size() << " vs " << codes_);
-  Node root = solve(0, 0, level, candidate, marked);
+  static thread_local Scratch sc;
+  sc.fit(codes_, static_cast<i64>(k_) * q_);
+  const Kid root = solve(0, 0, level, candidate.data(), marked.data(), sc, 0);
   Selection sel;
   sel.feasible = root.feasible;
   if (root.feasible) {
-    std::sort(root.codes.begin(), root.codes.end());
-    sel.codes = std::move(root.codes);
+    sel.codes.assign(sc.leaves.begin() + root.begin,
+                     sc.leaves.begin() + root.begin + root.len);
+    std::sort(sel.codes.begin(), sel.codes.end());
     sel.unmarked = root.cost;
   }
   return sel;

@@ -60,14 +60,18 @@ class TargetSelector {
   static bool intersects(const std::vector<i64>& a, const std::vector<i64>& b);
 
  private:
-  struct Node {
-    bool feasible = false;
+  /// DP result of one copy-tree node: chosen leaves sit at
+  /// [begin, begin + len) of the per-thread leaf scratch.
+  struct Kid {
     i64 cost = 0;
-    std::vector<i64> codes;
+    i32 begin = 0;
+    i32 len = 0;
+    bool feasible = false;
+    bool chosen = false;
   };
-  Node solve(int depth, i64 prefix, int level,
-             const std::vector<char>& candidate,
-             const std::vector<char>& marked) const;
+  struct Scratch;
+  Kid solve(int depth, i64 prefix, int level, const char* candidate,
+            const char* marked, Scratch& sc, i32 pos) const;
   bool accessed(int depth, i64 prefix, int level,
                 const std::vector<char>& leaves) const;
 

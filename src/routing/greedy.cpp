@@ -256,168 +256,168 @@ void route_stripe_worker(RouteShared& sh, int rank) {
   sh.slots[static_cast<size_t>(rank)].steps = steps;
 }
 
-/// Serial variant of the step loop driven by active lists instead of full
-/// region sweeps: `frontier` holds the nodes with queued packets, `arrivals`
-/// the nodes deposited into this step, so a step costs O(active), not
-/// O(region) — the tail of a route call touches a shrinking set of nodes.
+/// Change of a record's remaining (dr, dc) offset when it hops in direction
+/// d (Dir values N, E, S, W): the offset shrinks toward zero.
+constexpr i16 kHopDr[kNumDirs] = {1, 0, -1, 0};
+constexpr i16 kHopDc[kNumDirs] = {0, -1, 0, 1};
+
+inline void set_bit(u64* bits, i64 s) { bits[s >> 6] |= u64{1} << (s & 63); }
+
+/// Serial variant of the step loop, table-driven: the arena's `active`
+/// bitmap marks the nodes with queued packets and `arrived` the nodes
+/// deposited into this step, both over physical slots and walked in slot
+/// order, so a step costs O(active + region / 64), not O(region) — the tail
+/// of a route call touches a shrinking set of nodes. The region shape's
+/// cached tables give each slot's coordinate and neighbour slots, so a hop
+/// needs no snake arithmetic or pos→slot lookup (Region::snake_of only
+/// re-checks the table).
 /// Bit-identical to the sweeps: a step's moves depend only on per-node state,
 /// never on the order nodes are visited (each lane has one writer, each
 /// buffer one owner, and the counters are per-node).
 void route_serial(RouteShared& sh) {
   RouteArena& ar = sh.ar;
   const Region& region = sh.region;
+  const RouteShape& shape = ar.shape();
   RankSlot& slot = sh.slots[0];
   const int cols = sh.mesh.cols();
-  const i64 rcols = region.cols();
+  const int r0 = region.r0();
+  const int c0 = region.c0();
+  u64* const active = ar.active.data();
+  u64* const arrived = ar.arrived.data();
+  const i64 words = static_cast<i64>(ar.active.size());
+  const auto coord_of = [&](i64 s) {
+    const SlotCoord x = shape.coord[static_cast<size_t>(s)];
+    return Coord{r0 + x.r, c0 + x.c};
+  };
+
+  // Flat views of the per-node arrays; only the queue slab moves (on grow).
+  i32* const counts = ar.counts();
+  TransitRec* const lane_recs = ar.lane_recs();
+  unsigned char* const lane_full = ar.lane_full();
+  TransitRec* queues = ar.queue_base();
+  i64 cap = ar.cap();
 
   // Seed: rewrite each queued record's coordinate fields from the absolute
   // destination to the remaining (dr, dc) offset. route_serial owns the
   // arena until every queue drains, so nothing else sees the relative
   // encoding; it makes a record's direction and distance two register-width
-  // reads that update incrementally per hop instead of a rescan every step.
-  // The caller recorded the nodes with queued packets while it split the
-  // buffers, so seeding costs O(active), not an O(region) sweep.
-  for (const ActiveNode& an : ar.frontier) {
-    const i64 s = ar.slot_of(an.pos);
-    const i32 cnt = ar.count_at(s);
-    TransitRec* q = ar.queue_at(s);
-    for (i32 i = 0; i < cnt; ++i) {
-      q[i].dest_r = static_cast<i16>(q[i].dest_r - an.r);
-      q[i].dest_c = static_cast<i16>(q[i].dest_c - an.c);
-      MP_ASSERT(q[i].dest_r != 0 || q[i].dest_c != 0,
-                "arrived packet still in transit");
+  // reads that update per hop from a table instead of a rescan every step.
+  for (const i64 pos : ar.setup_pos) {
+    set_bit(active, shape.pos_slot[static_cast<size_t>(pos)]);
+  }
+  for (i64 w = 0; w < words; ++w) {
+    for (u64 bits = active[w]; bits != 0; bits &= bits - 1) {
+      const i64 s = w * 64 + __builtin_ctzll(bits);
+      const Coord at = coord_of(s);
+      TransitRec* q = queues + s * cap;
+      for (i32 i = 0; i < counts[s]; ++i) {
+        q[i].dest_r = static_cast<i16>(q[i].dest_r - at.r);
+        q[i].dest_c = static_cast<i16>(q[i].dest_c - at.c);
+        MP_ASSERT(q[i].dest_r != 0 || q[i].dest_c != 0,
+                  "arrived packet still in transit");
+      }
     }
-    ar.in_frontier[static_cast<size_t>(an.pos)] = 1;
   }
 
   i64 steps = 0;
   i64 in_flight = sh.in_flight0;
   while (in_flight > 0) {
     ++steps;
-    // Forward: best candidate per direction from every active node — the
-    // argmax derives (dir, rem) from the stored offsets in registers.
-    for (const ActiveNode& an : ar.frontier) {
-      const i64 pos = an.pos;
-      const i64 s = ar.slot_of(pos);
-      const i32 cnt = ar.count_at(s);
-      TransitRec* q = ar.queue_at(s);
-      std::array<i32, kNumDirs> best;
-      best.fill(-1);
-      std::array<i32, kNumDirs> best_dist{};
-      for (i32 i = 0; i < cnt; ++i) {
-        const int dr = q[i].dest_r;
-        const int dc = q[i].dest_c;
-        // Same decision table as simd::transit_scan: column first (XY).
-        const size_t di = dc > 0 ? 1u : dc < 0 ? 3u : dr > 0 ? 2u : 0u;
-        const i32 rem = (dr < 0 ? -dr : dr) + (dc < 0 ? -dc : dc);
-        if (best[di] < 0 || rem > best_dist[di]) {
-          best[di] = i;
-          best_dist[di] = rem;
+    // Forward: best candidate per direction from every active node. Every
+    // queued record heads somewhere, so an active node always moves.
+    for (i64 w = 0; w < words; ++w) {
+      for (u64 bits = active[w]; bits != 0; bits &= bits - 1) {
+        const int b = __builtin_ctzll(bits);
+        const i64 s = w * 64 + b;
+        const i32 cnt = counts[s];
+        TransitRec* q = queues + s * cap;
+        i32 best[kNumDirs];
+        simd::transit_argmax(q, cnt, best);
+        const Coord at = coord_of(s);
+        const i32* nbr = shape.nbr.data() + s * kNumDirs;
+        i64 moves = 0;
+        i32 first = cnt;
+        for (int di = 0; di < kNumDirs; ++di) {
+          const i32 idx = best[di];
+          if (idx < 0) continue;
+          TransitRec rec = q[idx];
+          q[idx].handle = RouteArena::kInvalidHandle;
+          first = std::min(first, idx);
+          const Coord to = step_toward(at, static_cast<Dir>(di));
+          MP_ASSERT(region.contains(to), "XY routing left the region");
+          const i32 ds = nbr[di];
+          MP_ASSERT(ds >= 0 && shape.slot_pos[static_cast<size_t>(ds)] ==
+                                   region.snake_of(to),
+                    "neighbour table disagrees with the snake order");
+          rec.dest_r = static_cast<i16>(rec.dest_r + kHopDr[di]);
+          rec.dest_c = static_cast<i16>(rec.dest_c + kHopDc[di]);
+          const int lane = kLaneOfMove[di];
+          lane_recs[ds * kNumDirs + lane] = rec;
+          lane_full[ds * kNumDirs + lane] = 1;
+          set_bit(arrived, ds);
+          ++moves;
         }
-      }
-      i64 moves = 0;
-      const i64 rr = an.r - region.r0();
-      const bool east_row = (rr & 1) == 0;
-      for (int di = 0; di < kNumDirs; ++di) {
-        const i32 idx = best[static_cast<size_t>(di)];
-        if (idx < 0) continue;
-        TransitRec rec = q[idx];
-        q[idx].handle = RouteArena::kInvalidHandle;
-        const Coord to = step_toward({an.r, an.c}, static_cast<Dir>(di));
-        MP_ASSERT(region.contains(to), "XY routing left the region");
-        // Neighbour's snake position without the general snake_of: lateral
-        // moves step by one (sign flips on odd rows), vertical moves land on
-        // the mirrored offset of the adjacent row.
-        i64 dpos;
-        if (di == 1) {
-          dpos = east_row ? pos + 1 : pos - 1;  // East
-        } else if (di == 3) {
-          dpos = east_row ? pos - 1 : pos + 1;  // West
-        } else if (di == 2) {
-          dpos = 2 * (rr + 1) * rcols - 1 - pos;  // South
-        } else {
-          dpos = 2 * rr * rcols - 1 - pos;  // North
+        // Stable compaction of the survivors, branch-free from the first
+        // tombstone on (queue order is the tie-break of the next argmax).
+        i32 kept = first;
+        for (i32 i = first + 1; i < cnt; ++i) {
+          q[kept] = q[i];
+          kept += q[i].handle != RouteArena::kInvalidHandle ? 1 : 0;
         }
-        MP_ASSERT(dpos == region.snake_of(to), "snake arithmetic mismatch");
-        // Account for the hop the record is about to take.
-        if (di == 1) {
-          --rec.dest_c;
-        } else if (di == 3) {
-          ++rec.dest_c;
-        } else if (di == 2) {
-          --rec.dest_r;
-        } else {
-          ++rec.dest_r;
-        }
-        const i64 ds = ar.slot_of(dpos);
-        ar.lane_rec_at(ds, kLaneOfMove[di]) = rec;
-        ar.lane_flags_at(ds)[kLaneOfMove[di]] = 1;
-        if (!ar.arrival_mark[static_cast<size_t>(dpos)]) {
-          ar.arrival_mark[static_cast<size_t>(dpos)] = 1;
-          ar.arrivals.push_back({static_cast<i32>(dpos),
-                                 static_cast<i16>(to.r),
-                                 static_cast<i16>(to.c)});
-        }
-        ++moves;
-      }
-      if (moves > 0) {
-        i32 w = 0;
-        for (i32 i = 0; i < cnt; ++i) {
-          if (q[i].handle != RouteArena::kInvalidHandle) q[w++] = q[i];
-        }
-        ar.count_at(s) = w;
+        counts[s] = kept;
+        if (kept == 0) active[w] &= ~(u64{1} << b);
         if (sh.count_congestion) {
-          sh.mesh.counters().add_forwarded(an.r * cols + an.c, moves);
+          sh.mesh.counters().add_forwarded(at.r * cols + at.c, moves);
         }
       }
     }
-    // Absorb: only nodes that received a deposit have work.
+    // Absorb: only nodes that received a deposit have work. The four lane
+    // flags become a 4-bit mask (bit = lane), reordered so that ascending
+    // bits follow the row's canonical lane order.
     i64 delivered = 0;
-    for (const ActiveNode& an : ar.arrivals) {
-      const i64 s = ar.slot_of(an.pos);
-      unsigned char* flags = ar.lane_flags_at(s);
-      const Coord at{an.r, an.c};
-      const bool east_row = ((at.r - region.r0()) & 1) == 0;
-      const int* order = east_row ? kLaneOrderEast : kLaneOrderWest;
-      for (int oi = 0; oi < kNumDirs; ++oi) {
-        const int lane = order[oi];
-        if (!flags[lane]) continue;
-        flags[lane] = 0;
-        const TransitRec rec = ar.lane_rec_at(s, lane);
-        if (rec.dest_r == 0 && rec.dest_c == 0) {
-          sh.mesh.buf(at.r * cols + at.c).push_back(ar.payload[rec.handle]);
-          ++delivered;
-        } else {
-          // The offset was updated at the sender; requeue verbatim.
-          if (ar.count_at(s) >= ar.cap()) ar.grow(ar.cap() * 2);
-          ar.queue_at(s)[ar.count_at(s)++] = rec;
+    for (i64 w = 0; w < words; ++w) {
+      const u64 word = arrived[w];
+      arrived[w] = 0;
+      for (u64 bits = word; bits != 0; bits &= bits - 1) {
+        const int b = __builtin_ctzll(bits);
+        const i64 s = w * 64 + b;
+        unsigned char* flags = lane_full + s * kNumDirs;
+        u32 full;
+        std::memcpy(&full, flags, sizeof(full));
+        std::memset(flags, 0, sizeof(full));
+        u32 mask = ((full & 0x01010101u) * 0x01020408u) >> 24;
+        const Coord at = coord_of(s);
+        const i32 id = at.r * cols + at.c;
+        const bool east_row = ((at.r - r0) & 1) == 0;
+        const int* order = kLaneOrderEast;
+        if (!east_row) {
+          order = kLaneOrderWest;
+          mask = (mask & 9u) | ((mask & 2u) << 1) | ((mask & 4u) >> 1);
         }
-      }
-      const i64 logical = ar.count_at(s);
-      slot.max_queue = std::max(slot.max_queue, logical);
-      if (sh.count_congestion) {
-        sh.mesh.counters().observe_queue(at.r * cols + at.c, logical);
+        i32 cnt = counts[s];
+        for (; mask != 0; mask &= mask - 1) {
+          const TransitRec rec =
+              lane_recs[s * kNumDirs + order[__builtin_ctz(mask)]];
+          if (rec.dest_r == 0 && rec.dest_c == 0) {
+            sh.mesh.buf(id).push_back(ar.payload[rec.handle]);
+            ++delivered;
+          } else {
+            // The offset was updated at the sender; requeue verbatim.
+            if (cnt >= cap) {
+              counts[s] = cnt;
+              ar.grow(cap * 2);
+              queues = ar.queue_base();
+              cap = ar.cap();
+            }
+            queues[s * cap + cnt++] = rec;
+          }
+        }
+        counts[s] = cnt;
+        if (cnt > 0) active[w] |= u64{1} << b;
+        slot.max_queue = std::max<i64>(slot.max_queue, cnt);
+        if (sh.count_congestion) sh.mesh.counters().observe_queue(id, cnt);
       }
     }
-    // Next frontier: survivors of the old one plus arrivals that queued.
-    ar.frontier_next.clear();
-    for (const ActiveNode& an : ar.frontier) {
-      if (ar.count(an.pos) > 0) {
-        ar.frontier_next.push_back(an);
-      } else {
-        ar.in_frontier[static_cast<size_t>(an.pos)] = 0;
-      }
-    }
-    for (const ActiveNode& an : ar.arrivals) {
-      ar.arrival_mark[static_cast<size_t>(an.pos)] = 0;
-      if (ar.count(an.pos) > 0 &&
-          !ar.in_frontier[static_cast<size_t>(an.pos)]) {
-        ar.in_frontier[static_cast<size_t>(an.pos)] = 1;
-        ar.frontier_next.push_back(an);
-      }
-    }
-    ar.arrivals.clear();
-    ar.frontier.swap(ar.frontier_next);
     slot.delivered += delivered;
     in_flight -= delivered;
   }
@@ -459,12 +459,12 @@ RouteStats route_greedy(Mesh& mesh, const Region& region) {
              "mesh too large for 16-bit transit coordinates");
   i64 in_flight = 0;
   i64 max_depth = 0;
-  ar.frontier.clear();  // nodes with queued packets, recorded in snake order
   for (RegionCursor cur = mesh.cursor(region); cur.valid(); cur.advance()) {
     const Coord x = cur.coord();
     const i32 id = cur.id();
     auto& b = mesh.buf(id);
     auto keep = b.begin();
+    i64 depth = 0;
     for (Packet& p : b) {
       MP_REQUIRE(p.dest >= 0 && p.dest < mesh.size(),
                  "packet without destination");
@@ -481,26 +481,19 @@ RouteStats route_greedy(Mesh& mesh, const Region& region) {
                                           static_cast<i16>(d.c)});
         ar.setup_pos.push_back(cur.pos());
         ar.payload.push_back(p);
-        const i32 depth = ++ar.count(cur.pos());
-        if (depth == 1) {
-          ar.frontier.push_back({static_cast<i32>(cur.pos()),
-                                 static_cast<i16>(x.r),
-                                 static_cast<i16>(x.c)});
-        }
-        max_depth = std::max<i64>(max_depth, depth);
-        ++in_flight;
+        ++depth;
       }
     }
     b.erase(keep, b.end());
+    max_depth = std::max(max_depth, depth);
+    in_flight += depth;
   }
 
   if (in_flight > 0) {
     // Initial capacity with headroom so the first arrivals don't force an
-    // immediate grow; doubling takes over from there. Only the nodes in the
-    // active list hold a nonzero count, so the post-layout re-zero before the
-    // scatter touches O(active) nodes, not O(region).
+    // immediate grow; doubling takes over from there. Counts are still zero
+    // from reset(), so the scatter fills the queues in discovery order.
     ar.layout(std::max<i64>(kNumDirs, max_depth + g_route_headroom));
-    for (const ActiveNode& an : ar.frontier) ar.count(an.pos) = 0;
     for (size_t i = 0; i < ar.setup_rec.size(); ++i) {
       const i64 pos = ar.setup_pos[i];
       ar.queue(pos)[ar.count(pos)++] = ar.setup_rec[i];

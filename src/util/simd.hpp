@@ -34,6 +34,15 @@ const char* kernel_name();
 void transit_scan(const void* recs, i64 n, i16 at_r, i16 at_c,
                   unsigned char* dirs, u16* rems);
 
+/// Farthest-first argmax over n transit records of the same layout whose
+/// coordinate fields hold the remaining offset (dr, dc) to the destination
+/// instead of the destination itself: best[d] (d = 0..3, the Dir values
+/// 0=N 1=E 2=S 3=W, column resolved first) receives the index of the record
+/// with the largest |dr| + |dc| among those heading in direction d, the
+/// first such index on ties, or -1 when no record heads that way. Offsets
+/// must be nonzero (an arrived record is never queued).
+void transit_argmax(const void* recs, i64 n, i32* best);
+
 /// First index i in [0, n-1) where key[i] >= key[i+1], reading the leading
 /// u64 of each `rec_bytes`-sized record; n-1 when the key sequence is
 /// strictly increasing (then the records are sorted under any key-first

@@ -5,6 +5,7 @@
 // thread count. This suite is the enforcement (`ctest -L layout`).
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -295,6 +296,48 @@ TEST_F(SimdKernels, TransitScanMatchesScalar) {
     simd::transit_scan(recs.data(), n, at_r, at_c, dir_v.data(), rem_v.data());
     EXPECT_EQ(dir_s, dir_v) << "n=" << n;
     EXPECT_EQ(rem_s, rem_v) << "n=" << n;
+  }
+}
+
+TEST_F(SimdKernels, TransitArgmaxMatchesScalarAndDefinition) {
+  // Records carry remaining (dr, dc) offsets. Small offsets make distance
+  // ties common, so the first-occurrence rule is exercised in every lane;
+  // the extreme offsets check the 16-bit packing of the vector keys. The
+  // largest n exceeds the vector path's 16-bit index range.
+  Rng rng(17);
+  for (const i64 n : {1, 2, 3, 7, 8, 9, 15, 16, 17, 40, 1000, 70000}) {
+    for (int trial = 0; trial < 8; ++trial) {
+      std::vector<unsigned char> recs(static_cast<size_t>(n) * 8);
+      std::vector<i32> want(4, -1);
+      std::vector<i64> want_rem(4, -1);
+      for (i64 i = 0; i < n; ++i) {
+        i16 dr = 0, dc = 0;
+        while (dr == 0 && dc == 0) {
+          const bool wide = rng.range(0, 9) == 0;
+          const i64 span = wide ? 32767 : 3;
+          dr = static_cast<i16>(rng.range(-span, span));
+          dc = static_cast<i16>(rng.range(0, 2) == 0 ? 0 : rng.range(-span, span));
+        }
+        const u32 handle = static_cast<u32>(i);
+        unsigned char* p = recs.data() + i * 8;
+        std::memcpy(p, &handle, 4);
+        std::memcpy(p + 4, &dr, 2);
+        std::memcpy(p + 6, &dc, 2);
+        const int d = dc > 0 ? 1 : dc < 0 ? 3 : dr > 0 ? 2 : 0;
+        const i64 rem = std::abs(dr) + std::abs(dc);
+        if (rem > want_rem[static_cast<size_t>(d)]) {
+          want[static_cast<size_t>(d)] = static_cast<i32>(i);
+          want_rem[static_cast<size_t>(d)] = rem;
+        }
+      }
+      std::vector<i32> got_s(4), got_v(4);
+      simd::set_enabled(false);
+      simd::transit_argmax(recs.data(), n, got_s.data());
+      simd::set_enabled(true);
+      simd::transit_argmax(recs.data(), n, got_v.data());
+      EXPECT_EQ(got_s, want) << "n=" << n << " trial=" << trial;
+      EXPECT_EQ(got_v, want) << "n=" << n << " trial=" << trial;
+    }
   }
 }
 

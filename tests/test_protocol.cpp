@@ -113,6 +113,74 @@ TEST_P(TargetSweep, InfeasibleWhenTooFewCopies) {
   EXPECT_FALSE(sel.is_target_set(one));
 }
 
+/// The recursive selector as it stood before select() moved to fixed
+/// scratch: a heap-allocated child list, cost order and leaf list per tree
+/// node. Kept here as the oracle for the allocation-free version.
+struct RefNode {
+  bool feasible = false;
+  i64 cost = 0;
+  std::vector<i64> codes;
+};
+
+RefNode ref_solve(const TargetSelector& sel, int depth, i64 prefix, int level,
+                  const std::vector<char>& candidate,
+                  const std::vector<char>& marked) {
+  RefNode node;
+  if (depth == sel.k()) {
+    node.feasible = candidate[static_cast<size_t>(prefix)] != 0;
+    if (node.feasible) {
+      node.cost = marked[static_cast<size_t>(prefix)] ? 0 : 1;
+      node.codes = {prefix};
+    }
+    return node;
+  }
+  std::vector<RefNode> kids;
+  for (i64 c = 0; c < sel.q(); ++c) {
+    kids.push_back(ref_solve(sel, depth + 1, prefix + c * ipow(sel.q(), depth),
+                             level, candidate, marked));
+  }
+  const i64 need = (depth >= level) ? sel.extensive() : sel.majority();
+  std::vector<size_t> order;
+  for (size_t i = 0; i < kids.size(); ++i) {
+    if (kids[i].feasible) order.push_back(i);
+  }
+  if (static_cast<i64>(order.size()) < need) return node;
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return kids[a].cost < kids[b].cost;
+  });
+  node.feasible = true;
+  for (i64 t = 0; t < need; ++t) {
+    const RefNode& kid = kids[order[static_cast<size_t>(t)]];
+    node.cost += kid.cost;
+    node.codes.insert(node.codes.end(), kid.codes.begin(), kid.codes.end());
+  }
+  return node;
+}
+
+TEST_P(TargetSweep, SelectMatchesReferenceRecursion) {
+  const auto [q, k] = GetParam();
+  TargetSelector sel(q, k);
+  Rng rng(static_cast<u64>(q * 1000 + k));
+  const auto n = static_cast<size_t>(sel.num_codes());
+  for (int t = 0; t < 200; ++t) {
+    // Dense to sparse candidate sets, so feasible and infeasible subtrees
+    // and cost ties all occur.
+    const i64 keep = rng.range(40, 100);
+    std::vector<char> cand(n), marked(n);
+    for (size_t c = 0; c < n; ++c) {
+      cand[c] = rng.range(0, 99) < keep ? 1 : 0;
+      marked[c] = rng.range(0, 1) == 0 ? 1 : 0;
+    }
+    const int level = static_cast<int>(rng.range(0, k));
+    RefNode want = ref_solve(sel, 0, 0, level, cand, marked);
+    std::sort(want.codes.begin(), want.codes.end());
+    const TargetSelector::Selection got = sel.select(level, cand, marked);
+    ASSERT_EQ(got.feasible, want.feasible) << "trial " << t;
+    EXPECT_EQ(got.codes, want.codes) << "trial " << t;
+    EXPECT_EQ(got.unmarked, want.cost) << "trial " << t;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, TargetSweep,
                          ::testing::Values(QK{3, 1}, QK{3, 2}, QK{3, 3},
                                            QK{3, 4}, QK{4, 2}, QK{5, 2},
@@ -230,6 +298,38 @@ TEST(Culling, IdleProcessorsAreSkipped) {
       EXPECT_EQ(selections[static_cast<size_t>(node)].size(), 4u);
     } else {
       EXPECT_TRUE(selections[static_cast<size_t>(node)].empty());
+    }
+  }
+}
+
+TEST(Culling, PathSlabMatchesPlacement) {
+  // The per-step copy-path slab must hold exactly what Placement computes,
+  // for every selected copy, across runs that reuse rows for new variables.
+  HmosParams params(3, 3, 1080, 8, 8);
+  MemoryMap map(params);
+  Mesh mesh(8, 8);
+  Placement placement(map, mesh.whole());
+  Culling culling(mesh, placement);
+  Rng rng(99);
+  for (int run = 0; run < 3; ++run) {
+    std::vector<i64> vars = rng.sample(params.num_vars(), mesh.size());
+    std::vector<i64> reqs(vars.begin(), vars.end());
+    reqs[static_cast<size_t>(run)] = -1;  // an idle processor
+    const auto selections = culling.run(reqs, nullptr);
+    for (i32 node = 0; node < mesh.size(); ++node) {
+      const i64 var = reqs[static_cast<size_t>(node)];
+      if (var < 0) continue;
+      for (const i64 code : selections[static_cast<size_t>(node)]) {
+        const u64 copy = static_cast<u64>(var * params.redundancy() + code);
+        for (int level = 1; level <= params.k(); ++level) {
+          EXPECT_EQ(culling.page_of(node, copy, level),
+                    placement.page_at(copy, level))
+              << "run " << run << " node " << node << " level " << level;
+        }
+        EXPECT_EQ(culling.home_of(node, copy),
+                  mesh.node_id(placement.locate(copy).node))
+            << "run " << run << " node " << node;
+      }
     }
   }
 }

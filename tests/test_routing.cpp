@@ -16,6 +16,7 @@
 #include "routing/meshsort.hpp"
 #include "routing/rank.hpp"
 #include "routing/scan.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -568,6 +569,232 @@ TEST(Greedy, ArenaGrowUnderStripesMatchesPreGrown) {
     for (size_t i = 0; i < bg.size(); ++i) {
       EXPECT_EQ(bg[i].origin, bp[i].origin) << "node " << id << " slot " << i;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Reference router: an independent oracle for route_greedy.
+// ---------------------------------------------------------------------------
+
+/// What one greedy route call leaves behind, as the reference computes it.
+struct RefRoute {
+  i64 steps = 0;
+  i64 max_queue = 0;
+  std::vector<std::vector<Packet>> bufs;  ///< final buffers, by node id
+  std::vector<i64> forwarded;             ///< counter grid, by node id
+  std::vector<i64> queue_peak;            ///< counter grid, by node id
+};
+
+/// Plain farthest-first XY routing: one vector queue per node, a full rescan
+/// of every node each step, and arrivals absorbed in the snake order of
+/// their senders (the serial sweep's canonical lane order). Shares nothing
+/// with route_greedy but the Packet type.
+RefRoute reference_route(const Mesh& mesh, const Region& g) {
+  const auto n = static_cast<size_t>(mesh.size());
+  RefRoute out;
+  out.bufs.resize(n);
+  out.forwarded.assign(n, 0);
+  out.queue_peak.assign(n, 0);
+  std::vector<std::vector<Packet>> queue(n);
+  i64 in_flight = 0;
+  for (i32 id = 0; id < mesh.size(); ++id) {
+    for (const Packet& p : mesh.buf(id)) {
+      auto& to = p.dest == id ? out.bufs[static_cast<size_t>(id)]
+                              : queue[static_cast<size_t>(id)];
+      to.push_back(p);
+      in_flight += p.dest == id ? 0 : 1;
+    }
+  }
+  const auto dir_of = [&](Coord at, Coord d) {
+    if (d.c != at.c) return d.c > at.c ? Dir::East : Dir::West;
+    return d.r > at.r ? Dir::South : Dir::North;
+  };
+  while (in_flight > 0) {
+    ++out.steps;
+    std::vector<std::pair<i32, Packet>> moves;  // (receiver, packet)
+    for (i64 s = 0; s < g.size(); ++s) {
+      const Coord at = g.at_snake(s);
+      auto& q = queue[static_cast<size_t>(mesh.node_id(at))];
+      int best[kNumDirs] = {-1, -1, -1, -1};
+      i64 best_rem[kNumDirs] = {0, 0, 0, 0};
+      for (size_t i = 0; i < q.size(); ++i) {
+        const Coord d = mesh.coord(q[i].dest);
+        const int di = static_cast<int>(dir_of(at, d));
+        if (best[di] < 0 || manhattan(at, d) > best_rem[di]) {
+          best[di] = static_cast<int>(i);
+          best_rem[di] = manhattan(at, d);
+        }
+      }
+      std::vector<Packet> keep;
+      for (size_t i = 0; i < q.size(); ++i) {
+        const Dir d = dir_of(at, mesh.coord(q[i].dest));
+        if (best[static_cast<int>(d)] == static_cast<int>(i)) {
+          moves.emplace_back(mesh.node_id(step_toward(at, d)), q[i]);
+          ++out.forwarded[static_cast<size_t>(mesh.node_id(at))];
+        } else {
+          keep.push_back(q[i]);
+        }
+      }
+      q = std::move(keep);
+    }
+    std::set<i32> receivers;
+    for (const auto& [to, p] : moves) {  // sender snake order
+      receivers.insert(to);
+      if (p.dest == to) {
+        out.bufs[static_cast<size_t>(to)].push_back(p);
+        --in_flight;
+      } else {
+        queue[static_cast<size_t>(to)].push_back(p);
+      }
+    }
+    for (const i32 id : receivers) {
+      const auto depth = static_cast<i64>(queue[static_cast<size_t>(id)].size());
+      out.max_queue = std::max(out.max_queue, depth);
+      i64& peak = out.queue_peak[static_cast<size_t>(id)];
+      peak = std::max(peak, depth);
+    }
+  }
+  return out;
+}
+
+/// Routes `load`'s packets with route_greedy at one thread, congestion
+/// counters on, and demands the reference's steps, max_queue, per-node
+/// delivery order and counter grids.
+void expect_matches_reference(int rows, int cols, const Region& g,
+                              NodeOrderKind order,
+                              const std::function<void(Mesh&)>& load) {
+  SCOPED_TRACE(::testing::Message() << rows << 'x' << cols << " region " << g
+                                    << ' ' << node_order_name(order));
+  Mesh mesh(rows, cols, order);
+  load(mesh);
+  const RefRoute want = reference_route(mesh, g);
+  set_execution_threads(1);
+  telemetry::set_enabled(true);
+  const bool sampled = telemetry::sampling_on();
+  const RouteStats got = route_greedy(mesh, g);
+  telemetry::set_enabled(false);
+  set_execution_threads(0);
+  EXPECT_EQ(got.steps, want.steps);
+  EXPECT_EQ(got.max_queue, want.max_queue);
+  for (i32 id = 0; id < mesh.size(); ++id) {
+    const auto& b = mesh.buf(id);
+    const auto& w = want.bufs[static_cast<size_t>(id)];
+    ASSERT_EQ(b.size(), w.size()) << "node " << id;
+    for (size_t i = 0; i < b.size(); ++i) {
+      EXPECT_EQ(b[i].var, w[i].var) << "node " << id << " slot " << i;
+    }
+  }
+  // The counter grids fill only while sampling is on (never in a build with
+  // telemetry compiled out, where they must stay zero).
+  EXPECT_EQ(sampled, MESHPRAM_TELEMETRY != 0);
+  const std::vector<i64> zeros(want.forwarded.size(), 0);
+  EXPECT_EQ(mesh.counters().forwarded(), sampled ? want.forwarded : zeros);
+  EXPECT_EQ(mesh.counters().max_queue(), sampled ? want.queue_peak : zeros);
+}
+
+/// Traffic generators over region `g` (sources and destinations inside it).
+void random_traffic(Mesh& mesh, const Region& g, u64 seed, int packets) {
+  Rng rng(seed);
+  for (int i = 0; i < packets; ++i) {
+    Packet p = mk(0, i);
+    p.dest = mesh.node_id(g.at_snake(rng.range(0, g.size() - 1)));
+    mesh.buf(mesh.node_id(g.at_snake(rng.range(0, g.size() - 1))))
+        .push_back(p);
+  }
+}
+
+void hot_spot_traffic(Mesh& mesh, const Region& g, int per_node) {
+  int i = 0;
+  const i32 hot = mesh.node_id(g.at_snake(g.size() / 2));
+  for (i64 s = 0; s < g.size(); ++s) {
+    for (int j = 0; j < per_node; ++j) {
+      Packet p = mk(0, i++);
+      p.dest = j % 2 == 0 ? hot : mesh.node_id(g.at_snake((s + j) % g.size()));
+      mesh.buf(mesh.node_id(g.at_snake(s))).push_back(p);
+    }
+  }
+}
+
+void transpose_traffic(Mesh& mesh, const Region& g) {
+  int i = 0;
+  for (int r = 0; r < g.rows(); ++r) {
+    for (int c = 0; c < g.cols(); ++c) {
+      Packet p = mk(0, i++);
+      p.dest = mesh.node_id({g.r0() + c % g.rows(), g.c0() + r % g.cols()});
+      mesh.buf(mesh.node_id({g.r0() + r, g.c0() + c})).push_back(p);
+    }
+  }
+}
+
+TEST(Greedy, MatchesReferenceRouter) {
+  struct Case {
+    int rows, cols;
+    Region g;
+  };
+  const Case cases[] = {
+      {16, 16, Region(0, 0, 16, 16)}, {12, 10, Region(0, 0, 12, 10)},
+      {16, 16, Region(3, 2, 7, 9)},   {16, 16, Region(5, 1, 1, 11)},
+      {16, 16, Region(0, 9, 13, 1)},  {9, 14, Region(2, 3, 6, 6)},
+  };
+  for (const NodeOrderKind order :
+       {NodeOrderKind::RowMajor, NodeOrderKind::Hilbert}) {
+    for (const Case& c : cases) {
+      for (const u64 seed : {1u, 2u, 3u}) {
+        const int packets = static_cast<int>(c.g.size()) * (1 + seed % 3) * 2;
+        expect_matches_reference(c.rows, c.cols, c.g, order, [&](Mesh& m) {
+          random_traffic(m, c.g, seed * 7919 + c.g.size(), packets);
+        });
+      }
+      expect_matches_reference(c.rows, c.cols, c.g, order, [&](Mesh& m) {
+        hot_spot_traffic(m, c.g, 5);
+      });
+      expect_matches_reference(c.rows, c.cols, c.g, order, [&](Mesh& m) {
+        transpose_traffic(m, c.g);
+      });
+    }
+  }
+}
+
+TEST(Greedy, AlternatingRegionShapesMatchFreshMesh) {
+  // One mesh (so one arena and its per-shape tables) serves calls that
+  // alternate region extents; every call must equal the same call on a
+  // fresh mesh, whose arena has never seen another shape.
+  const Region shapes[] = {
+      Region(0, 0, 16, 16), Region(2, 3, 7, 7),   Region(9, 9, 2, 3),
+      Region(4, 0, 3, 2),   Region(15, 15, 1, 1), Region(1, 8, 7, 7),
+      Region(0, 0, 16, 16), Region(10, 2, 2, 3),  Region(6, 6, 3, 2),
+      Region(2, 3, 7, 7),   Region(0, 0, 16, 16), Region(7, 7, 1, 1),
+  };
+  for (const NodeOrderKind order :
+       {NodeOrderKind::RowMajor, NodeOrderKind::Hilbert}) {
+    Mesh shared(16, 16, order);
+    set_execution_threads(1);
+    u64 seed = 5;
+    for (const Region& g : shapes) {
+      SCOPED_TRACE(::testing::Message() << "region " << g << ' '
+                                        << node_order_name(order));
+      Mesh fresh(16, 16, order);
+      const int packets = static_cast<int>(g.size()) * 3;
+      random_traffic(shared, g, seed, packets);
+      random_traffic(fresh, g, seed, packets);
+      ++seed;
+      const RouteStats a = route_greedy(shared, g);
+      const RouteStats b = route_greedy(fresh, g);
+      EXPECT_EQ(a.steps, b.steps);
+      EXPECT_EQ(a.max_queue, b.max_queue);
+      EXPECT_EQ(a.packets, b.packets);
+      EXPECT_EQ(a.total_distance, b.total_distance);
+      for (i32 id = 0; id < shared.size(); ++id) {
+        const auto& bs = shared.buf(id);
+        const auto& bf = fresh.buf(id);
+        ASSERT_EQ(bs.size(), bf.size()) << "node " << id;
+        for (size_t i = 0; i < bs.size(); ++i) {
+          EXPECT_EQ(bs[i].var, bf[i].var) << "node " << id << " slot " << i;
+        }
+      }
+      shared.clear_buffers();
+    }
+    set_execution_threads(0);
   }
 }
 
