@@ -7,9 +7,9 @@
 //   payload   in-flight Packets, written once at setup and read once at
 //             delivery; they never move while the packet is in transit.
 //   queues    per-node transit queues of 8-byte TransitRec (payload handle +
-//             cached destination), laid out strided: node `pos`'s queue lives
-//             at [pos*cap, pos*cap + count[pos]). The per-step sweeps walk
-//             records, not Packets.
+//             remaining offset), laid out strided: the node at physical slot
+//             `s` keeps its queue at [s*cap, s*cap + count[s]). The per-step
+//             passes walk records, not Packets.
 //   lanes     per-node incoming mailboxes, one slot per direction of motion.
 //             A node receives at most one packet per incoming link per step
 //             (each neighbor forwards at most one packet per outgoing
@@ -21,10 +21,10 @@
 //
 // Each arena also caches, per region extent, the slot maps, slot
 // coordinates and neighbour slots (RouteShape), and carries the serial
-// router's active/arrived bitmaps over physical slots.
+// walks' active/arrived bitmaps over physical slots.
 //
 // Ownership/reuse contract: arenas are leased from Mesh::route_arenas() for
-// the duration of one route_greedy call and returned to the pool afterwards,
+// the duration of one route call and returned to the pool afterwards,
 // keeping their heap capacity. Pooling (rather than one arena on the Mesh) is
 // required because parallel_for_regions runs several route calls at once.
 #pragma once
@@ -42,14 +42,15 @@
 
 namespace meshpram {
 
-/// A packet in transit: handle into RouteArena::payload plus the destination
-/// coordinate cached at setup, so the per-step loops stop re-deriving it from
-/// the node id. 8 bytes — a queue sweep touches 14x less memory than moving
-/// Packets.
+/// A packet in transit: handle into RouteArena::payload plus the remaining
+/// (dr, dc) offset from the node holding it to its destination, written at
+/// setup and updated per hop, so a record's direction and distance need no
+/// node coordinate. 8 bytes — a queue sweep touches 14x less memory than
+/// moving Packets.
 struct TransitRec {
   u32 handle;
-  i16 dest_r;
-  i16 dest_c;
+  i16 dr;
+  i16 dc;
 };
 static_assert(sizeof(TransitRec) == 8, "TransitRec must stay one word");
 
@@ -122,22 +123,22 @@ struct RouteShape {
 
 class RouteArena {
  public:
-  /// Tombstone handle used by the mark-and-compact commit in route_greedy.
+  /// Tombstone handle used by the routers' mark-and-compact commit.
   static constexpr u32 kInvalidHandle = ~0u;
 
   /// Starts a new route call over `region`: clears the payload and setup
-  /// scratch, zeroes queue counts, lane flags and the serial router's
+  /// scratch, zeroes queue counts, lane flags and the serial walks'
   /// bitmaps. Capacities of all slabs are kept (reuse contract). `order`
   /// picks the physical placement of the per-node queue/lane blocks: under
   /// Hilbert the blocks follow the same curve as the mesh's node state, so
   /// neighboring nodes' transit queues share cache lines at every
-  /// tessellation level. Purely physical — every position-addressed accessor
-  /// below still takes snake positions.
+  /// tessellation level. Purely physical — the shape's tables translate
+  /// between snake positions and slots.
   void reset(const Region& region, NodeOrderKind order) {
     nodes_ = region.size();
     payload.clear();
     setup_rec.clear();
-    setup_pos.clear();
+    setup_slot.clear();
     select_shape(region, order);
     count_.assign(static_cast<size_t>(nodes_), 0);
     in_rec_.resize(static_cast<size_t>(nodes_) * kNumDirs);
@@ -171,18 +172,11 @@ class RouteArena {
   }
 
   i64 cap() const { return cap_; }
-  TransitRec* queue(i64 pos) { return rec_.data() + slot(pos) * cap_; }
-  i32& count(i64 pos) { return count_[static_cast<size_t>(slot(pos))]; }
-  TransitRec& lane_rec(i64 pos, int lane) {
-    return in_rec_[static_cast<size_t>(slot(pos) * kNumDirs + lane)];
-  }
-  unsigned char* lane_flags(i64 pos) {
-    return in_full_.data() + slot(pos) * kNumDirs;
-  }
 
-  /// Flat slot-addressed views for the serial router's hot loops, which
-  /// walk physical slots and so skip the pos→slot lookup. The queue slab
-  /// moves on grow(): re-read queue_base() after one.
+  /// Flat views addressed by physical slot (shape().pos_slot maps a snake
+  /// position to its slot): node s's queue is queue_base()[s * cap(), +
+  /// counts()[s]), its lanes lane_recs()/lane_full()[s * kNumDirs + lane].
+  /// The queue slab moves on grow(): re-read queue_base() after one.
   i32* counts() { return count_.data(); }
   TransitRec* queue_base() { return rec_.data(); }
   TransitRec* lane_recs() { return in_rec_.data(); }
@@ -193,12 +187,12 @@ class RouteArena {
 
   /// In-flight packets, appended at setup; stable until the call completes.
   std::vector<Packet> payload;
-  /// Setup scratch: records and their node positions in discovery (snake)
+  /// Setup scratch: records and their nodes' slots in discovery (snake)
   /// order, scattered into the strided queues once the capacity is known.
   std::vector<TransitRec> setup_rec;
-  std::vector<i64> setup_pos;
+  std::vector<i64> setup_slot;
 
-  /// Serial-router bitmaps over physical slots (bit s of word s / 64):
+  /// Serial-walk bitmaps over physical slots (bit s of word s / 64):
   /// `active` marks nodes with a non-empty transit queue, `arrived` the
   /// nodes that received a lane deposit this step. Zeroed by reset().
   std::vector<u64> active;
@@ -207,8 +201,6 @@ class RouteArena {
  private:
   /// At most this many extents keep tables; the oldest is dropped first.
   static constexpr size_t kMaxShapes = 32;
-
-  i64 slot(i64 pos) const { return shape_->pos_slot[static_cast<size_t>(pos)]; }
 
   void select_shape(const Region& region, NodeOrderKind order) {
     const auto matches = [&](const RouteShape& sh) {

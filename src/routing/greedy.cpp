@@ -1,48 +1,20 @@
 #include "routing/greedy.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 #include <vector>
 
-#include "mesh/arena.hpp"
 #include "mesh/parallel.hpp"
-#include "routing/xy.hpp"
+#include "routing/greedy_kernel.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
-#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace meshpram {
 
 namespace {
-
-/// Queues at most this deep scan into stack buffers instead of the heap
-/// scratch — routing queues are mostly a handful of records.
-constexpr i32 kSmallScan = 32;
-
-/// Per-worker scratch for the vectorized candidate scan (direction + distance
-/// of every queued record at once). thread_local: both the serial router and
-/// each stripe worker scan one node at a time.
-struct ScanScratch {
-  std::vector<unsigned char> dir;
-  std::vector<u16> rem;
-
-  void fit(i32 n) {
-    if (dir.size() < static_cast<size_t>(n)) {
-      dir.resize(static_cast<size_t>(n));
-      rem.resize(static_cast<size_t>(n));
-    }
-  }
-};
-
-ScanScratch& scan_scratch() {
-  static thread_local ScanScratch s;
-  return s;
-}
 
 const telemetry::Label kRouteGreedy = telemetry::intern("route.greedy");
 const telemetry::Label kRouteStripe = telemetry::intern("route.stripe");
@@ -70,11 +42,10 @@ struct RouteShared {
   const Region& region;
   RouteArena& ar;
   bool count_congestion;
-  int team;
   i64 in_flight0 = 0;
   std::vector<Stripe> stripes;
   std::vector<RankSlot> slots;
-  // Per-rank overflow spills (pos, rec), merged by rank 0 under the third
+  // Per-rank overflow spills (slot, rec), merged by rank 0 under the third
   // barrier of a step. Spilling instead of growing in place: a stripe worker
   // may not resize the shared queue slab while others read it.
   std::vector<std::vector<std::pair<i64, TransitRec>>> spills;
@@ -86,141 +57,16 @@ struct RouteShared {
   SpinBarrier barrier;
 
   RouteShared(Mesh& mesh_, const Region& region_, RouteArena& ar_,
-              bool count_congestion_, int team_)
+              bool count_congestion_, int team)
       : mesh(mesh_),
         region(region_),
         ar(ar_),
         count_congestion(count_congestion_),
-        team(team_),
-        stripes(static_cast<size_t>(team_)),
-        slots(static_cast<size_t>(team_)),
-        spills(static_cast<size_t>(team_)),
-        barrier(team_) {}
+        stripes(static_cast<size_t>(team)),
+        slots(static_cast<size_t>(team)),
+        spills(static_cast<size_t>(team)),
+        barrier(team) {}
 };
-
-/// Forward sweep over one stripe: each node sends its best candidate per
-/// outgoing direction (farthest remaining distance first, first occurrence in
-/// queue order breaking ties — identical to the serial scan). Chosen records
-/// are tombstoned and compacted in one pass (mark-and-compact), preserving
-/// the queue order of survivors; deposits go into the destination's incoming
-/// lane, which may belong to a neighboring stripe (single writer per lane).
-void forward_sweep(RouteShared& sh, int rank) {
-  RouteArena& ar = sh.ar;
-  const Region& region = sh.region;
-  const Stripe s = sh.stripes[static_cast<size_t>(rank)];
-  ScanScratch& sc = scan_scratch();
-  unsigned char dir_buf[kSmallScan];
-  u16 rem_buf[kSmallScan];
-  RegionCursor cur(region, sh.mesh.cols(), s.pos_begin);
-  for (; cur.pos() < s.pos_end; cur.advance()) {
-    const i64 pos = cur.pos();
-    const i32 cnt = ar.count(pos);
-    if (cnt == 0) continue;
-    TransitRec* q = ar.queue(pos);
-    const Coord at = cur.coord();
-    // Vectorized scan: direction and remaining distance of every queued
-    // record (the kernel mirrors xy_next_dir's east/west-then-south/north
-    // priority); the argmax keeps the scalar first-occurrence tie-break.
-    // Shallow queues (the common case) use stack buffers over the heap
-    // scratch.
-    unsigned char* dirs = dir_buf;
-    u16* rems = rem_buf;
-    if (cnt > kSmallScan) {
-      sc.fit(cnt);
-      dirs = sc.dir.data();
-      rems = sc.rem.data();
-    }
-    simd::transit_scan(q, cnt, static_cast<i16>(at.r), static_cast<i16>(at.c),
-                       dirs, rems);
-    std::array<i32, kNumDirs> best;
-    best.fill(-1);
-    std::array<i64, kNumDirs> best_dist{};
-    for (i32 i = 0; i < cnt; ++i) {
-      const i64 rem = rems[i];
-      MP_ASSERT(rem > 0, "arrived packet still in transit");
-      const auto di = static_cast<size_t>(dirs[i]);
-      if (best[di] < 0 || rem > best_dist[di]) {
-        best[di] = i;
-        best_dist[di] = rem;
-      }
-    }
-    i64 moves = 0;
-    for (int di = 0; di < kNumDirs; ++di) {
-      const i32 idx = best[static_cast<size_t>(di)];
-      if (idx < 0) continue;
-      const TransitRec rec = q[idx];
-      q[idx].handle = RouteArena::kInvalidHandle;
-      const Coord to = step_toward(at, static_cast<Dir>(di));
-      MP_ASSERT(region.contains(to), "XY routing left the region");
-      const i64 dpos = region.snake_of(to);
-      ar.lane_rec(dpos, kLaneOfMove[di]) = rec;
-      ar.lane_flags(dpos)[kLaneOfMove[di]] = 1;
-      ++moves;
-    }
-    if (moves > 0) {
-      i32 w = 0;
-      for (i32 i = 0; i < cnt; ++i) {
-        if (q[i].handle != RouteArena::kInvalidHandle) q[w++] = q[i];
-      }
-      ar.count(pos) = w;
-      if (sh.count_congestion) {
-        sh.mesh.counters().add_forwarded(cur.id(), moves);
-      }
-    }
-  }
-}
-
-/// Absorb sweep over one stripe: consume the node's incoming lanes in
-/// canonical order, delivering home packets to the mesh buffer and appending
-/// the rest to the transit queue. A full queue grows in place when the team
-/// is serial; a stripe worker spills instead and flags a grow round.
-void absorb_sweep(RouteShared& sh, int rank, i64 step) {
-  RouteArena& ar = sh.ar;
-  const Region& region = sh.region;
-  const Stripe s = sh.stripes[static_cast<size_t>(rank)];
-  RankSlot& slot = sh.slots[static_cast<size_t>(rank)];
-  i64 delivered = 0;
-  i64 max_q = slot.max_queue;
-  RegionCursor cur(region, sh.mesh.cols(), s.pos_begin);
-  for (; cur.pos() < s.pos_end; cur.advance()) {
-    const i64 pos = cur.pos();
-    unsigned char* flags = ar.lane_flags(pos);
-    u32 any;
-    std::memcpy(&any, flags, sizeof(any));
-    if (any == 0) continue;
-    const Coord at = cur.coord();
-    const bool east_row = ((at.r - region.r0()) & 1) == 0;
-    const int* order = east_row ? kLaneOrderEast : kLaneOrderWest;
-    const i32 id = cur.id();
-    i64 spilled = 0;
-    for (int oi = 0; oi < kNumDirs; ++oi) {
-      const int lane = order[oi];
-      if (!flags[lane]) continue;
-      flags[lane] = 0;
-      const TransitRec rec = ar.lane_rec(pos, lane);
-      if (rec.dest_r == at.r && rec.dest_c == at.c) {
-        sh.mesh.buf(id).push_back(ar.payload[rec.handle]);
-        ++delivered;
-      } else if (ar.count(pos) < ar.cap()) {
-        ar.queue(pos)[ar.count(pos)++] = rec;
-      } else if (sh.team == 1) {
-        ar.grow(ar.cap() * 2);
-        ar.queue(pos)[ar.count(pos)++] = rec;
-      } else {
-        sh.spills[static_cast<size_t>(rank)].emplace_back(pos, rec);
-        ++spilled;
-        sh.overflow_step.store(step, std::memory_order_relaxed);
-      }
-    }
-    // Logical queue depth includes spilled records; observed only at nodes
-    // that received arrivals this step, exactly like the serial path.
-    const i64 logical = ar.count(pos) + spilled;
-    max_q = std::max(max_q, logical);
-    if (sh.count_congestion) sh.mesh.counters().observe_queue(id, logical);
-  }
-  slot.delivered += delivered;
-  slot.max_queue = max_q;
-}
 
 /// Grow round (rank 0, under the third barrier): doubling always fits the
 /// spills, since at most kNumDirs arrivals spill per node per step and
@@ -229,199 +75,115 @@ void absorb_sweep(RouteShared& sh, int rank, i64 step) {
 void merge_spills(RouteShared& sh) {
   RouteArena& ar = sh.ar;
   ar.grow(ar.cap() * 2);
+  i32* counts = ar.counts();
   for (auto& ranks : sh.spills) {
-    for (const auto& [pos, rec] : ranks) {
-      ar.queue(pos)[ar.count(pos)++] = rec;
+    for (const auto& [s, rec] : ranks) {
+      ar.queue_base()[s * ar.cap() + counts[s]++] = rec;
     }
     ranks.clear();
   }
 }
 
+/// One stripe worker: the kernel's per-node bodies over the stripe's snake
+/// positions, with a barrier after each pass. Deposits may land in a
+/// neighbouring stripe's lanes (single writer per lane); a full queue spills
+/// and flags a grow round instead of resizing the shared slab.
 void route_stripe_worker(RouteShared& sh, int rank) {
+  detail::GreedyKernel k(sh.mesh, sh.region, sh.ar, sh.region.r0(),
+                         sh.count_congestion);
+  const Stripe st = sh.stripes[static_cast<size_t>(rank)];
+  const i32* pos_slot = k.shape.pos_slot.data();
+  RankSlot& slot = sh.slots[static_cast<size_t>(rank)];
+  auto& spills = sh.spills[static_cast<size_t>(rank)];
   i64 steps = 0;
+  const auto sink = [&k](i64 s, Coord at, int di, const TransitRec& rec) {
+    k.deposit<false>(s, at, di, rec);
+  };
+  const auto spill = [&](i64 s, const TransitRec& rec) {
+    spills.emplace_back(s, rec);
+    sh.overflow_step.store(steps, std::memory_order_relaxed);
+    return false;
+  };
   i64 in_flight = sh.in_flight0;
   while (in_flight > 0) {
     ++steps;
-    forward_sweep(sh, rank);
+    for (i64 pos = st.pos_begin; pos < st.pos_end; ++pos) {
+      const i64 s = pos_slot[pos];
+      if (k.counts[s] == 0) continue;
+      i32 best[kNumDirs];
+      detail::argmax_pick(k, s, best);
+      detail::commit_node(k, s, k.coord_of(s), best, sink);
+    }
     if (!sh.barrier.wait()) return;
-    absorb_sweep(sh, rank, steps);
+    for (i64 pos = st.pos_begin; pos < st.pos_end; ++pos) {
+      const i64 s = pos_slot[pos];
+      u32 any;
+      std::memcpy(&any, k.lane_full + s * kNumDirs, sizeof(any));
+      if (any != 0) detail::absorb_node(k, s, spill);
+    }
+    slot.delivered = k.delivered;
+    slot.max_queue = k.max_queue;
     if (!sh.barrier.wait()) return;
     if (sh.overflow_step.load(std::memory_order_relaxed) == steps) {
       if (rank == 0) merge_spills(sh);
       if (!sh.barrier.wait()) return;
+      k.reload();
     }
     in_flight = sh.in_flight0;
-    for (const RankSlot& slot : sh.slots) in_flight -= slot.delivered;
-  }
-  sh.slots[static_cast<size_t>(rank)].steps = steps;
-}
-
-/// Change of a record's remaining (dr, dc) offset when it hops in direction
-/// d (Dir values N, E, S, W): the offset shrinks toward zero.
-constexpr i16 kHopDr[kNumDirs] = {1, 0, -1, 0};
-constexpr i16 kHopDc[kNumDirs] = {0, -1, 0, 1};
-
-inline void set_bit(u64* bits, i64 s) { bits[s >> 6] |= u64{1} << (s & 63); }
-
-/// Serial variant of the step loop, table-driven: the arena's `active`
-/// bitmap marks the nodes with queued packets and `arrived` the nodes
-/// deposited into this step, both over physical slots and walked in slot
-/// order, so a step costs O(active + region / 64), not O(region) — the tail
-/// of a route call touches a shrinking set of nodes. The region shape's
-/// cached tables give each slot's coordinate and neighbour slots, so a hop
-/// needs no snake arithmetic or pos→slot lookup (Region::snake_of only
-/// re-checks the table).
-/// Bit-identical to the sweeps: a step's moves depend only on per-node state,
-/// never on the order nodes are visited (each lane has one writer, each
-/// buffer one owner, and the counters are per-node).
-void route_serial(RouteShared& sh) {
-  RouteArena& ar = sh.ar;
-  const Region& region = sh.region;
-  const RouteShape& shape = ar.shape();
-  RankSlot& slot = sh.slots[0];
-  const int cols = sh.mesh.cols();
-  const int r0 = region.r0();
-  const int c0 = region.c0();
-  u64* const active = ar.active.data();
-  u64* const arrived = ar.arrived.data();
-  const i64 words = static_cast<i64>(ar.active.size());
-  const auto coord_of = [&](i64 s) {
-    const SlotCoord x = shape.coord[static_cast<size_t>(s)];
-    return Coord{r0 + x.r, c0 + x.c};
-  };
-
-  // Flat views of the per-node arrays; only the queue slab moves (on grow).
-  i32* const counts = ar.counts();
-  TransitRec* const lane_recs = ar.lane_recs();
-  unsigned char* const lane_full = ar.lane_full();
-  TransitRec* queues = ar.queue_base();
-  i64 cap = ar.cap();
-
-  // Seed: rewrite each queued record's coordinate fields from the absolute
-  // destination to the remaining (dr, dc) offset. route_serial owns the
-  // arena until every queue drains, so nothing else sees the relative
-  // encoding; it makes a record's direction and distance two register-width
-  // reads that update per hop from a table instead of a rescan every step.
-  for (const i64 pos : ar.setup_pos) {
-    set_bit(active, shape.pos_slot[static_cast<size_t>(pos)]);
-  }
-  for (i64 w = 0; w < words; ++w) {
-    for (u64 bits = active[w]; bits != 0; bits &= bits - 1) {
-      const i64 s = w * 64 + __builtin_ctzll(bits);
-      const Coord at = coord_of(s);
-      TransitRec* q = queues + s * cap;
-      for (i32 i = 0; i < counts[s]; ++i) {
-        q[i].dest_r = static_cast<i16>(q[i].dest_r - at.r);
-        q[i].dest_c = static_cast<i16>(q[i].dest_c - at.c);
-        MP_ASSERT(q[i].dest_r != 0 || q[i].dest_c != 0,
-                  "arrived packet still in transit");
-      }
-    }
-  }
-
-  i64 steps = 0;
-  i64 in_flight = sh.in_flight0;
-  while (in_flight > 0) {
-    ++steps;
-    // Forward: best candidate per direction from every active node. Every
-    // queued record heads somewhere, so an active node always moves.
-    for (i64 w = 0; w < words; ++w) {
-      for (u64 bits = active[w]; bits != 0; bits &= bits - 1) {
-        const int b = __builtin_ctzll(bits);
-        const i64 s = w * 64 + b;
-        const i32 cnt = counts[s];
-        TransitRec* q = queues + s * cap;
-        i32 best[kNumDirs];
-        simd::transit_argmax(q, cnt, best);
-        const Coord at = coord_of(s);
-        const i32* nbr = shape.nbr.data() + s * kNumDirs;
-        i64 moves = 0;
-        i32 first = cnt;
-        for (int di = 0; di < kNumDirs; ++di) {
-          const i32 idx = best[di];
-          if (idx < 0) continue;
-          TransitRec rec = q[idx];
-          q[idx].handle = RouteArena::kInvalidHandle;
-          first = std::min(first, idx);
-          const Coord to = step_toward(at, static_cast<Dir>(di));
-          MP_ASSERT(region.contains(to), "XY routing left the region");
-          const i32 ds = nbr[di];
-          MP_ASSERT(ds >= 0 && shape.slot_pos[static_cast<size_t>(ds)] ==
-                                   region.snake_of(to),
-                    "neighbour table disagrees with the snake order");
-          rec.dest_r = static_cast<i16>(rec.dest_r + kHopDr[di]);
-          rec.dest_c = static_cast<i16>(rec.dest_c + kHopDc[di]);
-          const int lane = kLaneOfMove[di];
-          lane_recs[ds * kNumDirs + lane] = rec;
-          lane_full[ds * kNumDirs + lane] = 1;
-          set_bit(arrived, ds);
-          ++moves;
-        }
-        // Stable compaction of the survivors, branch-free from the first
-        // tombstone on (queue order is the tie-break of the next argmax).
-        i32 kept = first;
-        for (i32 i = first + 1; i < cnt; ++i) {
-          q[kept] = q[i];
-          kept += q[i].handle != RouteArena::kInvalidHandle ? 1 : 0;
-        }
-        counts[s] = kept;
-        if (kept == 0) active[w] &= ~(u64{1} << b);
-        if (sh.count_congestion) {
-          sh.mesh.counters().add_forwarded(at.r * cols + at.c, moves);
-        }
-      }
-    }
-    // Absorb: only nodes that received a deposit have work. The four lane
-    // flags become a 4-bit mask (bit = lane), reordered so that ascending
-    // bits follow the row's canonical lane order.
-    i64 delivered = 0;
-    for (i64 w = 0; w < words; ++w) {
-      const u64 word = arrived[w];
-      arrived[w] = 0;
-      for (u64 bits = word; bits != 0; bits &= bits - 1) {
-        const int b = __builtin_ctzll(bits);
-        const i64 s = w * 64 + b;
-        unsigned char* flags = lane_full + s * kNumDirs;
-        u32 full;
-        std::memcpy(&full, flags, sizeof(full));
-        std::memset(flags, 0, sizeof(full));
-        u32 mask = ((full & 0x01010101u) * 0x01020408u) >> 24;
-        const Coord at = coord_of(s);
-        const i32 id = at.r * cols + at.c;
-        const bool east_row = ((at.r - r0) & 1) == 0;
-        const int* order = kLaneOrderEast;
-        if (!east_row) {
-          order = kLaneOrderWest;
-          mask = (mask & 9u) | ((mask & 2u) << 1) | ((mask & 4u) >> 1);
-        }
-        i32 cnt = counts[s];
-        for (; mask != 0; mask &= mask - 1) {
-          const TransitRec rec =
-              lane_recs[s * kNumDirs + order[__builtin_ctz(mask)]];
-          if (rec.dest_r == 0 && rec.dest_c == 0) {
-            sh.mesh.buf(id).push_back(ar.payload[rec.handle]);
-            ++delivered;
-          } else {
-            // The offset was updated at the sender; requeue verbatim.
-            if (cnt >= cap) {
-              counts[s] = cnt;
-              ar.grow(cap * 2);
-              queues = ar.queue_base();
-              cap = ar.cap();
-            }
-            queues[s * cap + cnt++] = rec;
-          }
-        }
-        counts[s] = cnt;
-        if (cnt > 0) active[w] |= u64{1} << b;
-        slot.max_queue = std::max<i64>(slot.max_queue, cnt);
-        if (sh.count_congestion) sh.mesh.counters().observe_queue(id, cnt);
-      }
-    }
-    slot.delivered += delivered;
-    in_flight -= delivered;
+    for (const RankSlot& other : sh.slots) in_flight -= other.delivered;
   }
   slot.steps = steps;
+}
+
+/// Stripe team route: contiguous row bands, one pool thread each.
+void route_striped(Mesh& mesh, const Region& region, RouteArena& ar,
+                   i64 in_flight, bool count_congestion, int team,
+                   RouteStats& stats) {
+  RouteShared sh(mesh, region, ar, count_congestion, team);
+  sh.in_flight0 = in_flight;
+  const i64 base = region.rows() / team;
+  const i64 extra = region.rows() % team;
+  i64 row = 0;
+  for (int t = 0; t < team; ++t) {
+    const i64 nrows = base + (t < extra ? 1 : 0);
+    sh.stripes[static_cast<size_t>(t)] = {row * region.cols(),
+                                          (row + nrows) * region.cols()};
+    row += nrows;
+  }
+  execution_pool().for_each_index(team, [&sh](i64 rank) {
+    telemetry::Span worker(telemetry::Cat::Region, kRouteStripe, rank);
+    try {
+      route_stripe_worker(sh, static_cast<int>(rank));
+    } catch (...) {
+      sh.barrier.kill();  // release the team before unwinding
+      throw;
+    }
+    worker.set_steps(sh.slots[static_cast<size_t>(rank)].steps);
+  });
+  stats.steps = sh.slots[0].steps;
+  for (const RankSlot& slot : sh.slots) {
+    MP_ASSERT(slot.steps == stats.steps, "stripe team diverged");
+    stats.max_queue = std::max(stats.max_queue, slot.max_queue);
+  }
+}
+
+/// Serial route: the kernel's bitmap walks on the calling thread, one step
+/// per forward/absorb pair, growing the arena in place on overflow.
+void route_serial(Mesh& mesh, const Region& region, RouteArena& ar,
+                  i64 in_flight, bool count_congestion, RouteStats& stats) {
+  detail::GreedyKernel k(mesh, region, ar, region.r0(), count_congestion);
+  const auto pick = [&k](i64 s, Coord, i32* best) {
+    detail::argmax_pick(k, s, best);
+  };
+  const auto sink = [&k](i64 s, Coord at, int di, const TransitRec& rec) {
+    k.deposit<true>(s, at, di, rec);
+  };
+  while (in_flight > 0) {
+    ++stats.steps;
+    detail::forward_walk(k, pick, sink);
+    in_flight -= detail::absorb_walk(k);
+  }
+  stats.max_queue = k.max_queue;
 }
 
 }  // namespace
@@ -433,30 +195,14 @@ void set_route_initial_headroom(i64 slots) {
 
 i64 route_initial_headroom() { return g_route_headroom; }
 
-RouteStats route_greedy(Mesh& mesh, const Region& region) {
-  telemetry::Span span(telemetry::Cat::Phase, kRouteGreedy);
-  // Per-node congestion counters are hot-loop writes; hoist the gate. Each
-  // node's cells are written by exactly one stripe worker (sources count
-  // forwards, receivers observe queues, and both are node-owned), so the
-  // counter grids stay thread-count invariant.
-  const bool count_congestion = telemetry::sampling_on();
-  RouteStats stats;
+namespace detail {
 
-  const i64 m = region.size();
-  RouteArena* const arena = mesh.route_arenas().acquire();
-  struct Lease {
-    Mesh& mesh;
-    RouteArena* arena;
-    ~Lease() { mesh.route_arenas().release(arena); }
-  } lease{mesh, arena};
-  RouteArena& ar = *arena;
+i64 seed_route(Mesh& mesh, const Region& region, const Region& dest_region,
+               RouteArena& ar, RouteStats& stats) {
   ar.reset(region, mesh.order().kind());
-
-  // Serial setup on the calling thread: split each buffer into home packets
-  // (kept in place) and in-transit payload, recording 8-byte transit records
-  // in snake order and per-node queue depths for the slab layout.
   MP_REQUIRE(mesh.rows() <= 32767 && mesh.cols() <= 32767,
-             "mesh too large for 16-bit transit coordinates");
+             "mesh too large for 16-bit transit offsets");
+  const i32* pos_slot = ar.shape().pos_slot.data();
   i64 in_flight = 0;
   i64 max_depth = 0;
   for (RegionCursor cur = mesh.cursor(region); cur.valid(); cur.advance()) {
@@ -469,17 +215,18 @@ RouteStats route_greedy(Mesh& mesh, const Region& region) {
       MP_REQUIRE(p.dest >= 0 && p.dest < mesh.size(),
                  "packet without destination");
       const Coord d = mesh.coord(p.dest);
-      MP_REQUIRE(region.contains(d),
-                 "destination " << d << " outside routing region " << region);
+      MP_REQUIRE(dest_region.contains(d),
+                 "destination " << d << " outside routing region "
+                                << dest_region);
       ++stats.packets;
       stats.total_distance += manhattan(x, d);
       if (p.dest == id) {
         *keep++ = p;  // already home; stays in the buffer
       } else {
         ar.setup_rec.push_back(TransitRec{static_cast<u32>(ar.payload.size()),
-                                          static_cast<i16>(d.r),
-                                          static_cast<i16>(d.c)});
-        ar.setup_pos.push_back(cur.pos());
+                                          static_cast<i16>(d.r - x.r),
+                                          static_cast<i16>(d.c - x.c)});
+        ar.setup_slot.push_back(pos_slot[cur.pos()]);
         ar.payload.push_back(p);
         ++depth;
       }
@@ -488,66 +235,59 @@ RouteStats route_greedy(Mesh& mesh, const Region& region) {
     max_depth = std::max(max_depth, depth);
     in_flight += depth;
   }
+  // Initial capacity with headroom so the first arrivals don't force an
+  // immediate grow; doubling takes over from there. Counts are still zero
+  // from reset(), so the scatter fills the queues in discovery order.
+  ar.layout(std::max<i64>(kNumDirs, max_depth + g_route_headroom));
+  i32* counts = ar.counts();
+  for (size_t i = 0; i < ar.setup_rec.size(); ++i) {
+    const i64 s = ar.setup_slot[i];
+    ar.queue_base()[s * ar.cap() + counts[s]++] = ar.setup_rec[i];
+    set_bit(ar.active.data(), s);
+  }
+  return in_flight;
+}
 
-  if (in_flight > 0) {
-    // Initial capacity with headroom so the first arrivals don't force an
-    // immediate grow; doubling takes over from there. Counts are still zero
-    // from reset(), so the scatter fills the queues in discovery order.
-    ar.layout(std::max<i64>(kNumDirs, max_depth + g_route_headroom));
-    for (size_t i = 0; i < ar.setup_rec.size(); ++i) {
-      const i64 pos = ar.setup_pos[i];
-      ar.queue(pos)[ar.count(pos)++] = ar.setup_rec[i];
-    }
+}  // namespace detail
 
-    // Fault plans that touch routing divert to the serial fault-aware kernel
-    // (stall backoff, detours, drop retransmission). Module-only plans — and
-    // no plan at all — keep the fast path below, so their step counts stay
-    // bit-identical to the fault-free run.
-    const fault::FaultPlan* plan = mesh.fault_plan();
-    if (plan != nullptr && plan->affects_routing()) {
-      detail::route_greedy_fault(mesh, region, ar, in_flight, stats);
-      span.set_steps(stats.steps);
-      return stats;
-    }
+RouteStats route_greedy(Mesh& mesh, const Region& region) {
+  telemetry::Span span(telemetry::Cat::Phase, kRouteGreedy);
+  // Per-node congestion counters are hot-loop writes; hoist the gate. Each
+  // node's cells are written by exactly one stripe worker (sources count
+  // forwards, receivers observe queues, and both are node-owned), so the
+  // counter grids stay thread-count invariant.
+  const bool count_congestion = telemetry::sampling_on();
+  RouteStats stats;
+  detail::ArenaLease lease(mesh);
+  RouteArena& ar = lease.ar;
+  const i64 in_flight = detail::seed_route(mesh, region, region, ar, stats);
+  if (in_flight == 0) {
+    span.set_steps(0);
+    return stats;
+  }
 
+  // Fault plans that touch routing divert to the serial fault-aware kernel
+  // (stall backoff, detours, drop retransmission). Module-only plans — and
+  // no plan at all — keep the fast path below, so their step counts stay
+  // bit-identical to the fault-free run.
+  const fault::FaultPlan* plan = mesh.fault_plan();
+  if (plan != nullptr && plan->affects_routing()) {
+    detail::route_greedy_fault(mesh, region, ar, in_flight, stats);
+  } else {
     // Stripe team: contiguous row bands, one pool thread each. Serial when
-    // the caller is itself a pool worker (the region loops already use every
-    // thread, and the pool is not reentrant) or the region is small.
+    // the caller is itself a pool worker (the region loops already use
+    // every thread, and the pool is not reentrant) or the region is small.
     int team = 1;
     if (!in_parallel_worker() && execution_threads() > 1 &&
-        m >= stripe_min_nodes()) {
+        region.size() >= stripe_min_nodes()) {
       team = static_cast<int>(
           std::min<i64>(execution_threads(), region.rows()));
     }
-    RouteShared sh(mesh, region, ar, count_congestion, team);
-    sh.in_flight0 = in_flight;
-    const i64 base = region.rows() / team;
-    const i64 extra = region.rows() % team;
-    i64 row = 0;
-    for (int t = 0; t < team; ++t) {
-      const i64 nrows = base + (t < extra ? 1 : 0);
-      sh.stripes[static_cast<size_t>(t)] = {row * region.cols(),
-                                            (row + nrows) * region.cols()};
-      row += nrows;
-    }
     if (team == 1) {
-      route_serial(sh);
+      route_serial(mesh, region, ar, in_flight, count_congestion, stats);
     } else {
-      execution_pool().for_each_index(team, [&sh](i64 rank) {
-        telemetry::Span worker(telemetry::Cat::Region, kRouteStripe, rank);
-        try {
-          route_stripe_worker(sh, static_cast<int>(rank));
-        } catch (...) {
-          sh.barrier.kill();  // release the team before unwinding
-          throw;
-        }
-        worker.set_steps(sh.slots[static_cast<size_t>(rank)].steps);
-      });
-    }
-    stats.steps = sh.slots[0].steps;
-    for (const RankSlot& slot : sh.slots) {
-      MP_ASSERT(slot.steps == stats.steps, "stripe team diverged");
-      stats.max_queue = std::max(stats.max_queue, slot.max_queue);
+      route_striped(mesh, region, ar, in_flight, count_congestion, team,
+                    stats);
     }
   }
   span.set_steps(stats.steps);

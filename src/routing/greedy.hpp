@@ -30,18 +30,18 @@ struct RouteStats {
 /// Routes every packet buffered in `region` to its Packet::dest node buffer.
 /// All destinations must lie inside `region`. Returns cycle-accurate stats.
 ///
-/// Regions of at least stripe_min_nodes() nodes (mesh/parallel.hpp) are
-/// decomposed into row stripes executed by a worker team with a barrier per
-/// sweep; results, RouteStats, and the congestion counter grids are
-/// bit-identical to the serial path at any thread count (see DESIGN.md §9
-/// for the determinism argument).
+/// One kernel (greedy_kernel.hpp, DESIGN.md §9) runs every variant. Small
+/// regions walk it serially; regions of at least stripe_min_nodes() nodes
+/// (mesh/parallel.hpp) are decomposed into row stripes executed by a worker
+/// team with a barrier per pass. Results, RouteStats, and the congestion
+/// counter grids are bit-identical at any thread count.
 ///
 /// When the mesh carries a fault plan that affects routing (dead or stalled
-/// links, a positive drop rate), the call switches to the serial fault-aware
-/// kernel (greedy_fault.cpp): stalled hops back off and retry, dead links are
-/// detoured, drops are retransmitted — no packet is ever lost. Plans that
-/// only kill memory modules stay on the fast path, so their step counts are
-/// bit-identical to the fault-free run.
+/// links, a positive drop rate), the call runs the kernel serially under the
+/// fault policy (greedy_fault.cpp): stalled hops back off and retry, dead
+/// links are detoured, drops are retransmitted — no packet is ever lost.
+/// Plans that only kill memory modules stay on the fast path, so their step
+/// counts are bit-identical to the fault-free run.
 RouteStats route_greedy(Mesh& mesh, const Region& region);
 
 /// Test hook: extra per-node queue capacity laid out beyond the setup-time
@@ -53,7 +53,7 @@ void set_route_initial_headroom(i64 slots);
 i64 route_initial_headroom();
 
 namespace detail {
-/// Serial fault-aware greedy kernel. Called by route_greedy after arena
+/// Serial fault-aware greedy route. Called by route_greedy after the route
 /// setup; `in_flight` is the number of in-transit records already scattered
 /// into `ar`'s queues. Fills steps/max_queue/fault_* of `stats` and adds the
 /// fault events to mesh.fault_tally(). Throws fault::FaultError if the plan

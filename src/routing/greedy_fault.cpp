@@ -1,8 +1,9 @@
-// Serial fault-aware variant of the greedy XY kernel (DESIGN.md §10).
+// Fault-aware obstacle policy on the greedy XY kernel (DESIGN.md §10).
 //
 // route_greedy dispatches here when the mesh's fault plan affects routing
-// (dead or stalled links, a positive drop rate). The kernel runs serial per
-// region, so fault behaviour is a pure function of (plan, PRAM step, routing
+// (dead or stalled links, a positive drop rate). Only the per-packet decision
+// is this file's own: the commit, absorb and walk are the shared kernel's
+// (greedy_kernel.hpp). The kernel runs serial per region, so fault behaviour is a pure function of (plan, PRAM step, routing
 // step) and bit-identical at any thread count; region-level parallelism
 // (disjoint ownership) still applies above it.
 //
@@ -35,16 +36,12 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <string>
 #include <vector>
 
-#include "mesh/arena.hpp"
-#include "routing/greedy.hpp"
-#include "routing/xy.hpp"
+#include "routing/greedy_kernel.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace meshpram::detail {
@@ -84,15 +81,9 @@ void route_greedy_fault(Mesh& mesh, const Region& region, RouteArena& ar,
   const fault::FaultPlan& plan = *mesh.fault_plan();
   const i64 pram_now = mesh.fault_now();
   const bool count_congestion = telemetry::sampling_on();
+  GreedyKernel k(mesh, region, ar, region.r0(), count_congestion);
 
   std::vector<HandleState> hs(ar.payload.size());
-  const i64 mesh_cols = mesh.cols();
-  const auto nid_of = [&](Coord x) {
-    return static_cast<i32>(x.r * mesh_cols + x.c);
-  };
-  const i32 trace_dest = static_cast<i32>(
-      env_i64("MESHPRAM_FAULT_TRACE", 0, mesh.size() - 1).value_or(-1));
-
   i64 retried = 0;
   i64 dropped = 0;
   i64 detoured = 0;
@@ -112,18 +103,179 @@ void route_greedy_fault(Mesh& mesh, const Region& region, RouteArena& ar,
   // restarts Pledge fresh — on the now-static maze the fresh run is correct.
   const i32 wall_reset = static_cast<i32>(4 * region.size() + 16);
 
+  // The per-packet decision for one node: each direction's farthest packet
+  // among those not backing off, after the stall/wall policy chose its
+  // direction. Winners the plan drops stay queued (best = -1); the others
+  // commit their wall-follower transition before the kernel sends them.
+  const auto pick = [&](i64 s, Coord at, i32* best) {
+    const TransitRec* q = k.queue(s);
+    const i32 cnt = k.counts[s];
+    const i32* nbr = k.shape.nbr.data() + s * kNumDirs;
+    const i32 id = k.id_of(at);
+    const bool at_dead = plan.node_dead(id);
+    // A wall is permanent: the region boundary or a dead link. A packet
+    // that the hardened sort network left at a DEAD node is the one
+    // exception: the dead node's switch fabric keeps relaying (the same
+    // model boundary that lets the systolic phases traverse it), so
+    // resident words percolate outward — straight through a contiguous
+    // dead cluster — until they exit into an alive node. The router never
+    // hands a dead node new packets: its incident links are dead for
+    // everyone routing from an alive node.
+    const auto wall_at = [&](Dir c) {
+      if (nbr[static_cast<int>(c)] < 0) return true;
+      if (at_dead) return false;  // dead fabric relays in every direction
+      return plan.link_dead(id, c);
+    };
+    const auto pause_at = [&](Dir c) {
+      return !at_dead && plan.link_stalled(id, c, pram_now, step);
+    };
+    std::array<i64, kNumDirs> best_dist{};
+    std::array<bool, kNumDirs> best_wall{};
+    std::array<bool, kNumDirs> best_enter{};
+    std::array<i32, kNumDirs> best_turn{};
+    std::fill(best, best + kNumDirs, -1);
+    for (i32 i = 0; i < cnt; ++i) {
+      HandleState& st = hs[q[i].handle];
+      if (st.blocked_until > step) continue;  // backing off
+      MP_ASSERT(q[i].dr != 0 || q[i].dc != 0,
+                "arrived packet still in transit");
+      const Dir primary = xy_dir(q[i].dr, q[i].dc);
+      const i64 rem = std::abs(q[i].dr) + std::abs(q[i].dc);
+      if (st.wall && st.wall_steps > wall_reset) {
+        st.wall = false;  // corrupted traversal (see wall_reset): restart
+        st.turns = 0;
+        st.wall_steps = 0;
+      }
+      Dir use = primary;
+      i32 turn_delta = 0;
+      bool wall_move = false;
+      bool enter = false;
+      bool wait = false;
+      bool found = false;
+      const bool may_leave_wall =
+          st.wall && (st.turns == 0 || rem < st.entry_rem) &&
+          !wall_at(primary);
+      if (!st.wall || may_leave_wall) {
+        // Greedy: follow the XY gradient (re-joining it if the wall is
+        // done). A committed greedy move clears all wall state.
+        if (!wall_at(primary)) {
+          if (pause_at(primary)) {
+            wait = true;
+          } else {
+            found = true;
+          }
+        } else {
+          // Frontal block: put the left hand on the wall ahead — rotate
+          // right until a non-wall direction appears, counting each
+          // quarter-turn. A cul-de-sac U-turns out at +2.
+          enter = true;
+          for (int r = 1; r <= 3 && !found && !wait; ++r) {
+            const Dir c = rot(primary, r);
+            if (wall_at(c)) continue;
+            if (pause_at(c)) {
+              wait = true;
+            } else {
+              use = c;
+              turn_delta = r;
+              wall_move = true;
+              found = true;
+            }
+          }
+          if (!found) wait = true;  // every link is a wall: wait (and let
+                                    // the step cap report a walled-in
+                                    // packet if none ever opens)
+        }
+      } else {
+        // Wall traversal, left hand on the wall: prefer left, straight,
+        // right, then U-turn, relative to the last hop's heading. The
+        // first non-wall candidate IS the Pledge move; if that link is
+        // stalled the packet waits for it rather than re-deciding, so the
+        // traversal is a pure function of the dead-link maze.
+        const Dir h = static_cast<Dir>(st.heading);
+        const Dir cand[4] = {rot(h, 3), h, rot(h, 1), rot(h, 2)};
+        const i32 delta[4] = {-1, 0, +1, +2};
+        for (int r = 0; r < 4 && !found && !wait; ++r) {
+          if (wall_at(cand[r])) continue;
+          if (pause_at(cand[r])) {
+            wait = true;
+          } else {
+            use = cand[r];
+            turn_delta = delta[r];
+            wall_move = true;
+            found = true;
+          }
+        }
+        if (!found) wait = true;
+      }
+      if (wait) {
+        ++st.blocks;
+        st.blocked_until = backoff_until(step, st.blocks);
+        ++retried;
+        if (count_congestion) mesh.counters().add_retries(id, 1);
+        continue;
+      }
+      const auto di = static_cast<size_t>(use);
+      if (best[di] < 0 || rem > best_dist[di]) {
+        best[di] = i;
+        best_dist[di] = rem;
+        best_wall[di] = wall_move;
+        best_enter[di] = enter;
+        best_turn[di] = turn_delta;
+      }
+    }
+    for (size_t di = 0; di < kNumDirs; ++di) {
+      if (best[di] < 0) continue;
+      if (plan.drop(id, static_cast<Dir>(di), pram_now, step)) {
+        // Corrupted on the wire: the slot is spent, the packet stays
+        // queued for retransmission.
+        best[di] = -1;
+        ++dropped;
+        ++retried;
+        if (count_congestion) mesh.counters().add_retries(id, 1);
+        continue;
+      }
+      // Moves: clear the backoff state and commit the wall-follower's
+      // transition. Wall state only ever changes on an actual hop — a
+      // packet that loses arbitration or gets dropped re-derives the same
+      // decision next step, so the traversal stays consistent.
+      HandleState& st = hs[q[best[di]].handle];
+      st.blocked_until = 0;
+      st.blocks = 0;
+      if (best_wall[di]) {
+        if (best_enter[di]) {
+          st.wall = true;
+          st.turns = best_turn[di];
+          st.wall_steps = 1;
+          st.entry_rem = best_dist[di];
+        } else {
+          st.turns += best_turn[di];
+          ++st.wall_steps;
+        }
+        st.heading = static_cast<i32>(di);
+        ++detoured;
+      } else {
+        st.wall = false;
+        st.turns = 0;
+        st.wall_steps = 0;
+      }
+    }
+  };
+  const auto sink = [&k](i64 s, Coord at, int di, const TransitRec& rec) {
+    k.deposit<true>(s, at, di, rec);
+  };
+
   while (remaining > 0) {
     ++step;
     if (step > step_cap) {
       std::string detail;
       int listed = 0;
       for (i64 pos = 0; pos < region.size() && listed < 8; ++pos) {
-        const i32 cnt = ar.count(pos);
-        const TransitRec* q = ar.queue(pos);
-        const Coord at = region.at_snake(pos);
-        for (i32 i = 0; i < cnt && listed < 8; ++i, ++listed) {
-          const i32 dest = nid_of(Coord{q[i].dest_r, q[i].dest_c});
-          detail += "; packet at " + std::to_string(nid_of(at)) + " -> " +
+        const i64 s = k.shape.pos_slot[static_cast<size_t>(pos)];
+        const TransitRec* q = k.queue(s);
+        const Coord at = k.coord_of(s);
+        for (i32 i = 0; i < k.counts[s] && listed < 8; ++i, ++listed) {
+          const i32 dest = k.id_of({at.r + q[i].dr, at.c + q[i].dc});
+          detail += "; packet at " + std::to_string(k.id_of(at)) + " -> " +
                     std::to_string(dest) +
                     (plan.node_dead(dest) ? " (dest DEAD)" : "");
         }
@@ -133,224 +285,12 @@ void route_greedy_fault(Mesh& mesh, const Region& region, RouteArena& ar,
           " packet(s) unroutable after " + std::to_string(step_cap) +
           " steps (" + plan.summary() + ")" + detail);
     }
-    // --- forward sweep (serial, snake order) ---
-    for (RegionCursor cur = RegionCursor(region, mesh.cols(), 0);
-         cur.pos() < region.size(); cur.advance()) {
-      const i64 pos = cur.pos();
-      const i32 cnt = ar.count(pos);
-      if (cnt == 0) continue;
-      TransitRec* q = ar.queue(pos);
-      const Coord at = cur.coord();
-      const i32 id = cur.id();
-      const bool at_dead = plan.node_dead(id);
-      // A wall is permanent: the region boundary or a dead link. A packet
-      // that the hardened sort network left at a DEAD node is the one
-      // exception: the dead node's switch fabric keeps relaying (the same
-      // model boundary that lets the systolic phases traverse it), so
-      // resident words percolate outward — straight through a contiguous
-      // dead cluster — until they exit into an alive node. The router never
-      // hands a dead node new packets: its incident links are dead for
-      // everyone routing from an alive node.
-      const auto wall_at = [&](Dir c) {
-        const Coord to = step_toward(at, c);
-        if (!region.contains(to)) return true;
-        if (at_dead) return false;  // dead fabric relays in every direction
-        return plan.link_dead(id, c);
-      };
-      const auto pause_at = [&](Dir c) {
-        return !at_dead && plan.link_stalled(id, c, pram_now, step);
-      };
-      std::array<i32, kNumDirs> best;
-      best.fill(-1);
-      std::array<i64, kNumDirs> best_dist{};
-      std::array<bool, kNumDirs> best_wall{};
-      std::array<bool, kNumDirs> best_enter{};
-      std::array<i32, kNumDirs> best_turn{};
-      for (i32 i = 0; i < cnt; ++i) {
-        HandleState& st = hs[q[i].handle];
-        if (st.blocked_until > step) continue;  // backing off
-        Dir primary;
-        MP_ASSERT(xy_next_dir(at, q[i].dest_r, q[i].dest_c, &primary),
-                  "arrived packet still in transit");
-        const i64 rem =
-            std::abs(q[i].dest_r - at.r) + std::abs(q[i].dest_c - at.c);
-        if (st.wall && st.wall_steps > wall_reset) {
-          st.wall = false;  // corrupted traversal (see wall_reset): restart
-          st.turns = 0;
-          st.wall_steps = 0;
-        }
-        Dir use = primary;
-        i32 turn_delta = 0;
-        bool wall_move = false;
-        bool enter = false;
-        bool wait = false;
-        bool found = false;
-        const bool may_leave_wall =
-            st.wall && (st.turns == 0 || rem < st.entry_rem) &&
-            !wall_at(primary);
-        if (!st.wall || may_leave_wall) {
-          // Greedy: follow the XY gradient (re-joining it if the wall is
-          // done). A committed greedy move clears all wall state.
-          if (!wall_at(primary)) {
-            if (pause_at(primary)) {
-              wait = true;
-            } else {
-              found = true;
-            }
-          } else {
-            // Frontal block: put the left hand on the wall ahead — rotate
-            // right until a non-wall direction appears, counting each
-            // quarter-turn. A cul-de-sac U-turns out at +2.
-            enter = true;
-            for (int k = 1; k <= 3 && !found && !wait; ++k) {
-              const Dir c = rot(primary, k);
-              if (wall_at(c)) continue;
-              if (pause_at(c)) {
-                wait = true;
-              } else {
-                use = c;
-                turn_delta = k;
-                wall_move = true;
-                found = true;
-              }
-            }
-            if (!found) wait = true;  // every link is a wall: wait (and let
-                                      // the step cap report a walled-in
-                                      // packet if none ever opens)
-          }
-        } else {
-          // Wall traversal, left hand on the wall: prefer left, straight,
-          // right, then U-turn, relative to the last hop's heading. The
-          // first non-wall candidate IS the Pledge move; if that link is
-          // stalled the packet waits for it rather than re-deciding, so the
-          // traversal is a pure function of the dead-link maze.
-          const Dir h = static_cast<Dir>(st.heading);
-          const Dir cand[4] = {rot(h, 3), h, rot(h, 1), rot(h, 2)};
-          const i32 delta[4] = {-1, 0, +1, +2};
-          for (int k = 0; k < 4 && !found && !wait; ++k) {
-            if (wall_at(cand[k])) continue;
-            if (pause_at(cand[k])) {
-              wait = true;
-            } else {
-              use = cand[k];
-              turn_delta = delta[k];
-              wall_move = true;
-              found = true;
-            }
-          }
-          if (!found) wait = true;
-        }
-        if (wait) {
-          ++st.blocks;
-          st.blocked_until = backoff_until(step, st.blocks);
-          ++retried;
-          if (count_congestion) mesh.counters().add_retries(id, 1);
-          continue;
-        }
-        if (trace_dest >= 0 &&
-            nid_of(Coord{q[i].dest_r, q[i].dest_c}) == trace_dest) {
-          std::fprintf(stderr,
-                       "[trace] step=%lld at=%d use=%d wall=%d enter=%d "
-                       "turns=%d+%d rem=%lld entry_rem=%lld\n",
-                       (long long)step, id, static_cast<int>(use),
-                       static_cast<int>(st.wall || wall_move),
-                       static_cast<int>(enter), st.turns, turn_delta,
-                       (long long)rem, (long long)st.entry_rem);
-        }
-        const auto di = static_cast<size_t>(use);
-        if (best[di] < 0 || rem > best_dist[di]) {
-          best[di] = i;
-          best_dist[di] = rem;
-          best_wall[di] = wall_move;
-          best_enter[di] = enter;
-          best_turn[di] = turn_delta;
-        }
-      }
-      i64 moves = 0;
-      for (int di = 0; di < kNumDirs; ++di) {
-        const i32 idx = best[static_cast<size_t>(di)];
-        if (idx < 0) continue;
-        if (plan.drop(id, static_cast<Dir>(di), pram_now, step)) {
-          // Corrupted on the wire: the slot is spent, the packet stays
-          // queued for retransmission.
-          ++dropped;
-          ++retried;
-          if (count_congestion) mesh.counters().add_retries(id, 1);
-          continue;
-        }
-        const TransitRec rec = q[idx];
-        q[idx].handle = RouteArena::kInvalidHandle;
-        // Moved: clear the backoff state and commit the wall-follower's
-        // transition. Wall state only ever changes on an actual hop — a
-        // packet that loses arbitration or gets dropped re-derives the same
-        // decision next step, so the traversal stays consistent.
-        HandleState& st = hs[rec.handle];
-        st.blocked_until = 0;
-        st.blocks = 0;
-        if (best_wall[static_cast<size_t>(di)]) {
-          if (best_enter[static_cast<size_t>(di)]) {
-            st.wall = true;
-            st.turns = best_turn[static_cast<size_t>(di)];
-            st.wall_steps = 1;
-            st.entry_rem = best_dist[static_cast<size_t>(di)];
-          } else {
-            st.turns += best_turn[static_cast<size_t>(di)];
-            ++st.wall_steps;
-          }
-          st.heading = static_cast<i32>(di);
-        } else {
-          st.wall = false;
-          st.turns = 0;
-          st.wall_steps = 0;
-        }
-        const Coord to = step_toward(at, static_cast<Dir>(di));
-        const i64 dpos = region.snake_of(to);
-        ar.lane_rec(dpos, kLaneOfMove[di]) = rec;
-        ar.lane_flags(dpos)[kLaneOfMove[di]] = 1;
-        if (best_wall[static_cast<size_t>(di)]) ++detoured;
-        ++moves;
-      }
-      if (moves > 0) {
-        i32 w = 0;
-        for (i32 i = 0; i < cnt; ++i) {
-          if (q[i].handle != RouteArena::kInvalidHandle) q[w++] = q[i];
-        }
-        ar.count(pos) = w;
-        if (count_congestion) mesh.counters().add_forwarded(id, moves);
-      }
-    }
-    // --- absorb sweep (serial, snake order; grows in place) ---
-    for (RegionCursor cur = RegionCursor(region, mesh.cols(), 0);
-         cur.pos() < region.size(); cur.advance()) {
-      const i64 pos = cur.pos();
-      unsigned char* flags = ar.lane_flags(pos);
-      u32 any;
-      std::memcpy(&any, flags, sizeof(any));
-      if (any == 0) continue;
-      const Coord at = cur.coord();
-      const bool east_row = ((at.r - region.r0()) & 1) == 0;
-      const int* order = east_row ? kLaneOrderEast : kLaneOrderWest;
-      const i32 id = cur.id();
-      for (int oi = 0; oi < kNumDirs; ++oi) {
-        const int lane = order[oi];
-        if (!flags[lane]) continue;
-        flags[lane] = 0;
-        const TransitRec rec = ar.lane_rec(pos, lane);
-        if (rec.dest_r == at.r && rec.dest_c == at.c) {
-          mesh.buf(id).push_back(ar.payload[rec.handle]);
-          --remaining;
-        } else {
-          if (ar.count(pos) == ar.cap()) ar.grow(ar.cap() * 2);
-          ar.queue(pos)[ar.count(pos)++] = rec;
-        }
-      }
-      const i64 logical = ar.count(pos);
-      stats.max_queue = std::max(stats.max_queue, logical);
-      if (count_congestion) mesh.counters().observe_queue(id, logical);
-    }
+    forward_walk(k, pick, sink);
+    remaining -= absorb_walk(k);
   }
 
   stats.steps = step;
+  stats.max_queue = k.max_queue;
   stats.fault_retried = retried;
   stats.fault_dropped = dropped;
   stats.fault_detoured = detoured;

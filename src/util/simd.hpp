@@ -25,22 +25,14 @@ void set_enabled(bool on);
 /// Human-readable dispatch state ("avx2" or "scalar") for bench metadata.
 const char* kernel_name();
 
-/// Routing-queue scan over n 8-byte transit records laid out as
-/// {u32 handle; i16 dest_r; i16 dest_c} (static_asserted at the call site):
-/// for each record, the XY-routing direction from (at_r, at_c) — the Dir
-/// values 0=N 1=E 2=S 3=W, column resolved first — into dirs[i], and the
-/// remaining Manhattan distance into rems[i]. A record already at the
-/// destination gets rem 0 (the caller asserts that never happens).
-void transit_scan(const void* recs, i64 n, i16 at_r, i16 at_c,
-                  unsigned char* dirs, u16* rems);
-
-/// Farthest-first argmax over n transit records of the same layout whose
-/// coordinate fields hold the remaining offset (dr, dc) to the destination
-/// instead of the destination itself: best[d] (d = 0..3, the Dir values
-/// 0=N 1=E 2=S 3=W, column resolved first) receives the index of the record
-/// with the largest |dr| + |dc| among those heading in direction d, the
-/// first such index on ties, or -1 when no record heads that way. Offsets
-/// must be nonzero (an arrived record is never queued).
+/// Farthest-first argmax over n 8-byte transit records laid out as
+/// {u32 handle; i16 dr; i16 dc} (static_asserted at the call site), whose
+/// coordinate fields hold the remaining offset to the destination: best[d]
+/// (d = 0..3, the Dir values 0=N 1=E 2=S 3=W, column resolved first)
+/// receives the index of the record with the largest |dr| + |dc| among those
+/// heading in direction d, the first such index on ties, or -1 when no
+/// record heads that way. Offsets must be nonzero (an arrived record is
+/// never queued).
 void transit_argmax(const void* recs, i64 n, i32* best);
 
 /// First index i in [0, n-1) where key[i] >= key[i+1], reading the leading

@@ -17,13 +17,16 @@
 #include "dist/collectives.hpp"
 #include "dist/machine.hpp"
 #include "dist/partition.hpp"
+#include "dist/route.hpp"
 #include "dist/serve.hpp"
 #include "dist/wire.hpp"
 #include "fault/plan.hpp"
+#include "routing/greedy.hpp"
 #include "serve/snapshot.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace meshpram::dist {
 namespace {
@@ -476,6 +479,130 @@ TEST(DistTransport, KillUnwindsConcurrentCollectives) {
         for (int i = 0; i < 10; ++i) c0.barrier();
       },
       TransportError);
+}
+
+/// Whole-mesh traffic for the band-router test: random (0), a hot spot (1)
+/// or a transpose (2). Packets carry their sequence number in `var`.
+void whole_mesh_traffic(Mesh& mesh, int pattern, u64 seed) {
+  const i32 n = static_cast<i32>(mesh.size());
+  i64 var = 0;
+  const auto put = [&](i32 from, i32 to) {
+    Packet p;
+    p.var = var++;
+    p.origin = from;
+    p.dest = to;
+    mesh.buf(from).push_back(p);
+  };
+  if (pattern == 0) {
+    Rng rng(seed);
+    for (i32 i = 0; i < 3 * n; ++i) {
+      const auto from = static_cast<i32>(rng.range(0, n - 1));
+      put(from, static_cast<i32>(rng.range(0, n - 1)));
+    }
+  } else if (pattern == 1) {
+    const i32 hot = mesh.node_id({mesh.rows() / 2, mesh.cols() / 3});
+    for (i32 id = 0; id < n; ++id) {
+      for (int j = 0; j < 4; ++j) put(id, j % 2 == 0 ? hot : (id * 7 + j) % n);
+    }
+  } else {
+    for (int r = 0; r < mesh.rows(); ++r) {
+      for (int c = 0; c < mesh.cols(); ++c) {
+        put(mesh.node_id({r, c}),
+            mesh.node_id({c % mesh.rows(), r % mesh.cols()}));
+      }
+    }
+  }
+}
+
+TEST(DistRoute, MatchesSingleProcessRouter) {
+  // dist_route_whole on rank threads must leave exactly what one
+  // route_greedy over the whole mesh leaves: the same step count on every
+  // rank, the same per-node delivery order and the same counter grids once
+  // each band's rows are merged.
+  bool odd_band = false;
+  for (const int k : {2, 3}) {
+    for (const int side : {16, 32}) {
+      const SimConfig cfg = mid_mem_config(side, k);
+      PramMeshSimulator sim(cfg);
+      const int max = RankPartition::max_ranks(sim.placement(), side);
+      // One pool thread per rank, reused by every case: a recording thread
+      // keeps its telemetry ring for the life of the process. Each rank
+      // blocks until all ranks have joined, so with ranks <= pool threads
+      // every index runs on a thread of its own.
+      ThreadPool crew(max);
+      for (int ranks = 1; ranks <= max; ++ranks) {
+        const RankPartition part(sim.placement(), side, side, ranks);
+        for (int r = 0; r < ranks; ++r) {
+          odd_band = odd_band || part.band(r).row_begin % 2 != 0;
+        }
+        for (const NodeOrderKind order :
+             {NodeOrderKind::RowMajor, NodeOrderKind::Hilbert}) {
+          for (int pattern = 0; pattern < 3; ++pattern) {
+            SCOPED_TRACE(::testing::Message()
+                         << "k=" << k << " side=" << side << " ranks="
+                         << ranks << ' ' << node_order_name(order)
+                         << " pattern " << pattern);
+            const u64 seed = static_cast<u64>(side * 100 + ranks);
+            telemetry::set_enabled(true);
+            Mesh oracle(side, side, order);
+            whole_mesh_traffic(oracle, pattern, seed);
+            const RouteStats want = route_greedy(oracle, oracle.whole());
+
+            ChannelHub hub(ranks);
+            std::vector<std::unique_ptr<ChannelTransport>> eps;
+            std::vector<std::unique_ptr<Mesh>> meshes;
+            for (int r = 0; r < ranks; ++r) {
+              eps.push_back(std::make_unique<ChannelTransport>(hub, r));
+              meshes.push_back(std::make_unique<Mesh>(side, side, order));
+              whole_mesh_traffic(*meshes.back(), pattern, seed);
+            }
+            std::vector<i64> steps(static_cast<size_t>(ranks), -1);
+            std::atomic<bool> failed{false};
+            crew.for_each_index(ranks, [&](i64 r) {
+              try {
+                Collectives coll(*eps[static_cast<size_t>(r)]);
+                steps[static_cast<size_t>(r)] =
+                    dist_route_whole(*meshes[static_cast<size_t>(r)], part,
+                                     static_cast<int>(r), coll, pattern == 0)
+                        .steps;
+              } catch (...) {
+                failed.store(true);
+                hub.kill();
+              }
+            });
+            telemetry::set_enabled(false);
+            ASSERT_FALSE(failed.load());
+
+            telemetry::MeshCounters merged;
+            merged.resize(side, side);
+            for (int r = 0; r < ranks; ++r) {
+              EXPECT_EQ(steps[static_cast<size_t>(r)], want.steps);
+              const RankBand& band = part.band(r);
+              const Mesh& mine = *meshes[static_cast<size_t>(r)];
+              merged.adopt_range(mine.counters(), band.node_begin,
+                                 band.node_end);
+              for (i64 node = band.node_begin; node < band.node_end; ++node) {
+                const auto id = static_cast<i32>(node);
+                const auto& got = mine.buf(id);
+                const auto& exp = oracle.buf(id);
+                ASSERT_EQ(got.size(), exp.size()) << "node " << id;
+                for (size_t i = 0; i < got.size(); ++i) {
+                  EXPECT_EQ(got[i].var, exp[i].var)
+                      << "node " << id << " slot " << i;
+                }
+              }
+            }
+            EXPECT_EQ(merged.forwarded(), oracle.counters().forwarded());
+            EXPECT_EQ(merged.max_queue(), oracle.counters().max_queue());
+          }
+        }
+      }
+    }
+  }
+  // The absorb order follows the global row parity; only a band that
+  // starts on an odd row tells it apart from the band-local one (k=2,
+  // side 16 has such cuts from 3 ranks on).
+  EXPECT_TRUE(odd_band);
 }
 
 Packet fuzz_packet(u64 key, int salt) {

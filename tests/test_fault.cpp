@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "fault/plan.hpp"
@@ -228,6 +229,18 @@ TEST(FaultRouting, UnroutablePlanThrowsFaultError) {
   mesh.set_fault_plan(&plan);
   mesh.buf(0).push_back(mk_packet(1, 0, 3));
   EXPECT_THROW(route_greedy(mesh, mesh.whole()), fault::FaultError);
+
+  // The stuck-packet listing names the walled-off destination by node id.
+  Mesh again(4, 4);
+  again.set_fault_plan(&plan);
+  again.buf(0).push_back(mk_packet(1, 0, 3));
+  try {
+    route_greedy(again, again.whole());
+    ADD_FAILURE() << "walled-off destination routed";
+  } catch (const fault::FaultError& e) {
+    EXPECT_NE(std::string(e.what()).find("-> 3"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------------

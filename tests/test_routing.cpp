@@ -9,6 +9,7 @@
 #include <set>
 #include <vector>
 
+#include "fault/plan.hpp"
 #include "mesh/machine.hpp"
 #include "mesh/parallel.hpp"
 #include "routing/greedy.hpp"
@@ -657,39 +658,73 @@ RefRoute reference_route(const Mesh& mesh, const Region& g) {
   return out;
 }
 
-/// Routes `load`'s packets with route_greedy at one thread, congestion
+/// The route_greedy kernels the reference checks: the serial kernel, the
+/// stripe team (4 threads, stripes forced on any region) and the fault
+/// kernel under an inert plan (a stall window outside the current PRAM step:
+/// affects_routing() holds, so the fault kernel runs, but nothing fires).
+enum class RouteKernel { Serial, Stripe, Fault };
+
+const char* route_kernel_name(RouteKernel k) {
+  switch (k) {
+    case RouteKernel::Serial: return "serial";
+    case RouteKernel::Stripe: return "stripe";
+    case RouteKernel::Fault: return "fault";
+  }
+  return "?";
+}
+
+/// Routes `load`'s packets with route_greedy on each kernel, congestion
 /// counters on, and demands the reference's steps, max_queue, per-node
-/// delivery order and counter grids.
+/// delivery order and counter grids from every one.
 void expect_matches_reference(int rows, int cols, const Region& g,
                               NodeOrderKind order,
                               const std::function<void(Mesh&)>& load) {
   SCOPED_TRACE(::testing::Message() << rows << 'x' << cols << " region " << g
                                     << ' ' << node_order_name(order));
-  Mesh mesh(rows, cols, order);
-  load(mesh);
-  const RefRoute want = reference_route(mesh, g);
-  set_execution_threads(1);
-  telemetry::set_enabled(true);
-  const bool sampled = telemetry::sampling_on();
-  const RouteStats got = route_greedy(mesh, g);
-  telemetry::set_enabled(false);
-  set_execution_threads(0);
-  EXPECT_EQ(got.steps, want.steps);
-  EXPECT_EQ(got.max_queue, want.max_queue);
-  for (i32 id = 0; id < mesh.size(); ++id) {
-    const auto& b = mesh.buf(id);
-    const auto& w = want.bufs[static_cast<size_t>(id)];
-    ASSERT_EQ(b.size(), w.size()) << "node " << id;
-    for (size_t i = 0; i < b.size(); ++i) {
-      EXPECT_EQ(b[i].var, w[i].var) << "node " << id << " slot " << i;
+  for (const RouteKernel kernel :
+       {RouteKernel::Serial, RouteKernel::Stripe, RouteKernel::Fault}) {
+    SCOPED_TRACE(route_kernel_name(kernel));
+    Mesh mesh(rows, cols, order);
+    load(mesh);
+    const RefRoute want = reference_route(mesh, g);
+    fault::FaultPlan inert(rows, cols);
+    if (kernel == RouteKernel::Fault) {
+      fault::StallWindow w;
+      w.node = 0;
+      w.dir = rows > 1 ? Dir::South : Dir::East;
+      w.pram_from = mesh.fault_now() + 1;
+      inert.add_stall(w);
+      ASSERT_TRUE(inert.affects_routing());
+      mesh.set_fault_plan(&inert);
     }
+    set_execution_threads(kernel == RouteKernel::Stripe ? 4 : 1);
+    if (kernel == RouteKernel::Stripe) set_stripe_min_nodes(1);
+    telemetry::set_enabled(true);
+    const bool sampled = telemetry::sampling_on();
+    const RouteStats got = route_greedy(mesh, g);
+    telemetry::set_enabled(false);
+    set_stripe_min_nodes(0);
+    set_execution_threads(0);
+    EXPECT_EQ(got.steps, want.steps);
+    EXPECT_EQ(got.max_queue, want.max_queue);
+    EXPECT_EQ(got.fault_retried, 0);
+    EXPECT_EQ(got.fault_detoured, 0);
+    EXPECT_EQ(got.fault_dropped, 0);
+    for (i32 id = 0; id < mesh.size(); ++id) {
+      const auto& b = mesh.buf(id);
+      const auto& w = want.bufs[static_cast<size_t>(id)];
+      ASSERT_EQ(b.size(), w.size()) << "node " << id;
+      for (size_t i = 0; i < b.size(); ++i) {
+        EXPECT_EQ(b[i].var, w[i].var) << "node " << id << " slot " << i;
+      }
+    }
+    // The counter grids fill only while sampling is on (never in a build
+    // with telemetry compiled out, where they must stay zero).
+    EXPECT_EQ(sampled, MESHPRAM_TELEMETRY != 0);
+    const std::vector<i64> zeros(want.forwarded.size(), 0);
+    EXPECT_EQ(mesh.counters().forwarded(), sampled ? want.forwarded : zeros);
+    EXPECT_EQ(mesh.counters().max_queue(), sampled ? want.queue_peak : zeros);
   }
-  // The counter grids fill only while sampling is on (never in a build with
-  // telemetry compiled out, where they must stay zero).
-  EXPECT_EQ(sampled, MESHPRAM_TELEMETRY != 0);
-  const std::vector<i64> zeros(want.forwarded.size(), 0);
-  EXPECT_EQ(mesh.counters().forwarded(), sampled ? want.forwarded : zeros);
-  EXPECT_EQ(mesh.counters().max_queue(), sampled ? want.queue_peak : zeros);
 }
 
 /// Traffic generators over region `g` (sources and destinations inside it).
