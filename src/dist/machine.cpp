@@ -1,6 +1,9 @@
 #include "dist/machine.hpp"
 
+#include <condition_variable>
 #include <exception>
+#include <functional>
+#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -25,6 +28,83 @@ bool resolve_validate(int validate) {
 }
 
 }  // namespace
+
+/// One persistent thread per rank. run(job) hands job(r) to thread r for
+/// every rank and returns when all have finished; rank r always runs on the
+/// same thread, under that rank's serial pool. The step body records its
+/// own errors; anything else a job throws is rethrown by run().
+class DistMachine::RankCrew {
+ public:
+  explicit RankCrew(const std::vector<std::unique_ptr<ThreadPool>>& pools) {
+    threads_.reserve(pools.size());
+    for (size_t r = 0; r < pools.size(); ++r) {
+      threads_.emplace_back(
+          [this, r, &pool = *pools[r]] { loop(static_cast<int>(r), pool); });
+    }
+  }
+
+  ~RankCrew() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    cv_work_.notify_all();
+    for (std::thread& t : threads_) t.join();
+  }
+
+  RankCrew(const RankCrew&) = delete;
+  RankCrew& operator=(const RankCrew&) = delete;
+
+  void run(const std::function<void(int)>& job) {
+    std::unique_lock<std::mutex> lock(mu_);
+    job_ = &job;
+    pending_ = threads_.size();
+    ++generation_;
+    cv_work_.notify_all();
+    cv_done_.wait(lock, [this] { return pending_ == 0; });
+    job_ = nullptr;
+    if (error_ != nullptr) {
+      std::rethrow_exception(std::exchange(error_, nullptr));
+    }
+  }
+
+ private:
+  void loop(int rank, ThreadPool& pool) {
+    // Serial kernels on this rank: thread-count invariance makes them
+    // bit-identical to the oracle's parallel runs.
+    ScopedPool guard(pool);
+    u64 seen = 0;
+    for (;;) {
+      const std::function<void(int)>* job = nullptr;
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_work_.wait(lock, [&] { return stop_ || generation_ != seen; });
+        if (stop_) return;
+        seen = generation_;
+        job = job_;
+      }
+      std::exception_ptr error;
+      try {
+        (*job)(rank);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lock(mu_);
+      if (error_ == nullptr) error_ = error;
+      if (--pending_ == 0) cv_done_.notify_all();
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_work_;
+  std::condition_variable cv_done_;
+  const std::function<void(int)>* job_ = nullptr;
+  u64 generation_ = 0;
+  size_t pending_ = 0;
+  bool stop_ = false;
+  std::exception_ptr error_;
+  std::vector<std::thread> threads_;
+};
 
 DistMachine::DistMachine(const DistConfig& config)
     : validate_(resolve_validate(config.validate)) {
@@ -58,6 +138,7 @@ DistMachine::DistMachine(const DistConfig& config)
                                                         r, validate_));
   }
   wait_totals_.resize(static_cast<size_t>(ranks));
+  crew_ = std::make_unique<RankCrew>(pools_);
 }
 
 DistMachine::~DistMachine() = default;
@@ -114,27 +195,18 @@ std::vector<i64> DistMachine::step(const std::vector<AccessRequest>& requests,
   std::vector<std::exception_ptr> errors(static_cast<size_t>(R));
   {
     telemetry::Span step_span(telemetry::Cat::Step, kPramStep, now_);
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(R));
-    for (int r = 0; r < R; ++r) {
-      threads.emplace_back([this, r, &padded, &results, &rank_stats,
-                            &errors] {
-        // Serial kernels on this rank: thread-count invariance makes them
-        // bit-identical to the oracle's parallel runs.
-        ScopedPool guard(*pools_[static_cast<size_t>(r)]);
-        Collectives coll(*endpoints_[static_cast<size_t>(r)]);
-        try {
-          results[static_cast<size_t>(r)] =
-              protocols_[static_cast<size_t>(r)]->execute(
-                  padded, now_, &rank_stats[static_cast<size_t>(r)], coll);
-        } catch (...) {
-          errors[static_cast<size_t>(r)] = std::current_exception();
-          hub_->kill();  // unblock every peer waiting on this rank
-        }
-        wait_totals_[static_cast<size_t>(r)] += coll.wait();
-      });
-    }
-    for (std::thread& t : threads) t.join();
+    crew_->run([&](int r) {
+      const auto i = static_cast<size_t>(r);
+      Collectives coll(*endpoints_[i]);
+      try {
+        results[i] =
+            protocols_[i]->execute(padded, now_, &rank_stats[i], coll);
+      } catch (...) {
+        errors[i] = std::current_exception();
+        hub_->kill();  // unblock every peer waiting on this rank
+      }
+      wait_totals_[i] += coll.wait();
+    });
     if (errors[0] == nullptr) {
       step_span.set_steps(rank_stats[0].total_steps);
     }

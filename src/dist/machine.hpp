@@ -7,12 +7,14 @@
 // StepStats, same congestion counters — `ctest -L dist` enforces exactly
 // that against the single-process oracle.
 //
-// Threading: every step spawns one std::thread per rank; each rank thread
-// installs a ScopedPool of size 1, so the kernels it runs are serial and
-// thread-count invariance makes them bit-identical to any other pool size.
-// If any rank throws, the hub is killed (unblocking peers with
-// TransportError), the hub and endpoints are rebuilt so the machine stays
-// usable, and the lowest-rank original error is rethrown.
+// Threading: the machine owns one thread per rank for its whole life; thread
+// r runs rank r of every step, so a recording thread's telemetry ring is
+// registered once, not once per step. Each rank thread installs a
+// ScopedPool of size 1, so the kernels it runs are serial and thread-count
+// invariance makes them bit-identical to any other pool size. If any rank
+// throws, the hub is killed (unblocking peers with TransportError), the hub
+// and endpoints are rebuilt so the machine stays usable, and the lowest-rank
+// original error is rethrown.
 #pragma once
 
 #include <memory>
@@ -93,6 +95,8 @@ class DistMachine {
   std::unique_ptr<PramMeshSimulator> materialize() const;
 
  private:
+  class RankCrew;
+
   void rebuild_transport();
 
   SimConfig effective_;
@@ -108,6 +112,8 @@ class DistMachine {
   std::vector<WaitStats> wait_totals_;
   StepCounter clock_;
   i64 now_ = 0;
+  /// The rank threads; declared last so they stop before anything they use.
+  std::unique_ptr<RankCrew> crew_;
 };
 
 }  // namespace meshpram::dist

@@ -8,7 +8,7 @@
 #include "dist/wire.hpp"
 #include "protocol/culling.hpp"
 #include "routing/greedy.hpp"
-#include "routing/rank.hpp"
+#include "routing/meshsort.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/bytes.hpp"
 #include "util/error.hpp"
@@ -236,8 +236,7 @@ std::vector<i64> DistProtocol::execute_partitioned(
           p.key = static_cast<u64>(culling.page_of(p.origin, p.copy, k));
         }
       }
-      i64 steps = sort_region(mesh_, whole, sort_opts_);
-      steps += rank_within_groups(mesh_, whole);
+      i64 steps = sort_and_rank(mesh_, whole, sort_opts_).total();
       if (validate_) coll.check_uniform(buffers_digest(), "post-sort buffers");
       for (int r = 0; r < part_.ranks(); ++r) {
         if (r == rank_) continue;

@@ -17,6 +17,7 @@ Mesh::Mesh(int rows, int cols, NodeOrderKind order)
     : rows_(rows), cols_(cols), order_(rows, cols, order) {
   MP_REQUIRE(rows >= 1 && cols >= 1, "mesh " << rows << 'x' << cols);
   bufs_.resize(static_cast<size_t>(size()));
+  backs_.resize(static_cast<size_t>(size()));
   stores_.resize(static_cast<size_t>(size()));
   counters_.resize(rows, cols);
 }
@@ -52,20 +53,15 @@ void Mesh::clear_buffers(const Region& region) {
 }
 
 std::vector<Packet> Mesh::drain(const Region& region) {
-  std::vector<Packet> out;
-  drain_into(region, out);
-  return out;
-}
-
-void Mesh::drain_into(const Region& region, std::vector<Packet>& out) {
   telemetry::Span span(telemetry::Cat::Phase, kDrainLabel);
-  out.clear();
+  std::vector<Packet> out;
   out.reserve(static_cast<size_t>(total_packets(region)));
   for (RegionCursor cur = cursor(region); cur.valid(); cur.advance()) {
     auto& b = bufs_[static_cast<size_t>(order_.slot_of(cur.id()))];
     out.insert(out.end(), b.begin(), b.end());
     b.clear();
   }
+  return out;
 }
 
 }  // namespace meshpram

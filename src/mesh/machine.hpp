@@ -236,14 +236,24 @@ class Mesh {
   void clear_buffers(const Region& region);
 
   /// Gathers (and removes) all packets buffered in `region`, in snake order.
-  /// The result is reserved up-front via total_packets; the emptied node
-  /// buffers keep their capacity (reuse contract above).
+  /// The emptied node buffers keep their capacity (reuse contract above).
   std::vector<Packet> drain(const Region& region);
 
-  /// drain() into a caller-owned buffer (cleared first, capacity kept), so
-  /// steady-state sort calls recycle one allocation instead of returning a
-  /// fresh vector per call.
-  void drain_into(const Region& region, std::vector<Packet>& out);
+  /// Moves node `id`'s packets out without copying one: swaps its buffer
+  /// with its back buffer (a second per-node vector, indexed by physical
+  /// slot like the buffers) and returns the back buffer, which now holds the
+  /// packets. The node's buffer is left empty with the back buffer's old
+  /// capacity. The caller refills the buffer and clear()s the back buffer
+  /// before the next swap_out of the node; both keep their capacity, so a
+  /// steady-state sort allocates nothing.
+  std::vector<Packet>& swap_out(i32 id) {
+    MP_REQUIRE(0 <= id && id < size(), "node id " << id);
+    const auto slot = static_cast<size_t>(order_.slot_of(id));
+    MP_ASSERT(backs_[slot].empty(), "back buffer of node " << id
+                                                          << " still in use");
+    bufs_[slot].swap(backs_[slot]);
+    return backs_[slot];
+  }
 
   /// Reusable flat transit arenas for route_greedy (mesh/arena.hpp). One
   /// lease per route call; pooled because parallel_for_regions runs several
@@ -280,6 +290,7 @@ class Mesh {
   int cols_;
   NodeOrder order_;
   std::vector<std::vector<Packet>> bufs_;
+  std::vector<std::vector<Packet>> backs_;  ///< swap_out targets, by slot
   std::vector<CopyStore> stores_;
   StepCounter clock_;
   telemetry::MeshCounters counters_;

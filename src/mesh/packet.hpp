@@ -18,7 +18,7 @@ enum class Op : std::uint8_t { Read = 0, Write = 1 };
 
 struct Packet {
   u64 key = 0;   ///< current sort key (stage-dependent)
-  u64 rank = 0;  ///< rank within key group (set by rank_within_groups)
+  u64 rank = 0;  ///< rank within key group (set by every sort_region)
 
   u64 copy = 0;       ///< HMOS copy id (variable * q^k + child choices)
   i64 var = -1;       ///< PRAM variable id

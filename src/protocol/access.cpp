@@ -8,7 +8,6 @@
 
 #include "mesh/parallel.hpp"
 #include "routing/greedy.hpp"
-#include "routing/rank.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
@@ -70,8 +69,7 @@ i64 AccessProtocol::distribute_stage(const Region& region, int dest_level) {
           }
         }
       });
-  i64 steps = sort_region(mesh_, region, sort_opts_);
-  steps += rank_within_groups(mesh_, region);
+  i64 steps = sort_and_rank(mesh_, region, sort_opts_).total();
 
   const auto& pages = placement_.pages(dest_level);
   const fault::FaultPlan* plan = mesh_.fault_plan();

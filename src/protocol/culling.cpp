@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "routing/lroute.hpp"
-#include "routing/rank.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 #include "util/simd.hpp"
@@ -217,8 +216,7 @@ std::vector<std::vector<i64>> Culling::run(
     });
 
     // Sort by page, rank within page, mark the first tau of each page.
-    st.steps += sort_region(mesh_, whole, sort_opts_);
-    st.steps += rank_within_groups(mesh_, whole);
+    st.steps += sort_and_rank(mesh_, whole, sort_opts_).total();
     mesh_.for_each_node(kNodeGrain, [&](i32 id) {
       for (Packet& p : mesh_.buf(id)) {
         p.value = (static_cast<i64>(p.rank) < tau) ? 1 : 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "mesh/parallel.hpp"
-#include "routing/rank.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 
@@ -86,8 +85,9 @@ StagedRouteStats route_two_stage(Mesh& mesh, const Region& region,
       });
 
   // Sort by destination subregion and rank within it.
-  out.sort_steps = sort_region(mesh, region, opts);
-  out.rank_steps = rank_within_groups(mesh, region);
+  const SortRankSteps sorted = sort_and_rank(mesh, region, opts);
+  out.sort_steps = sorted.sort;
+  out.rank_steps = sorted.rank;
 
   // Stage A: rank i goes to node (i mod m) of the destination subregion —
   // the even spread that makes the second stage a (δ, l2)-problem.

@@ -1,10 +1,11 @@
 #include "routing/meshsort.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
-#include <cmath>
-#include <cstring>
+#include <bit>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "mesh/node_order.hpp"
@@ -18,13 +19,14 @@ namespace meshpram {
 
 namespace {
 
-/// Compact sort record: the (key, copy, var) prefix decides every comparison
-/// in the protocol's workloads without touching the payload arena (copy ids
-/// are unique per packet there; var is the first payload tie field, carried
-/// inline so the comparator has no dependent load). The handle indirects into
-/// the payload for the rare deeper tie-break and for the final writeback.
-/// 32 bytes — merging records instead of ~112-byte Packets is the main
-/// bandwidth win of the sorter, and one record is exactly one AVX2 vector.
+/// Block record of the simulated sort: the (key, copy, var) prefix decides
+/// every comparison in the protocol's workloads without touching the payload
+/// arena (copy ids are unique per packet there; var is the first payload tie
+/// field, carried inline so the comparator has no dependent load). The handle
+/// indirects into the payload for the rare deeper tie-break and for the final
+/// writeback. 32 bytes — merging records instead of 104-byte Packets is the
+/// main bandwidth win of the block merges, and one record is exactly one
+/// AVX2 vector.
 struct SortRec {
   u64 key;
   u64 copy;
@@ -37,6 +39,13 @@ SortRec make_hole_rec() { return SortRec{kHoleKey, 0, 0, ~0u}; }
 
 bool is_hole_rec(const SortRec& r) { return r.key == kHoleKey; }
 
+/// The canonical order's tie-break after (key, copy): tie(var, origin, op,
+/// value). Both sort modes use it, so their placements agree.
+bool payload_less(const Packet& a, const Packet& b) {
+  return std::tie(a.var, a.origin, a.op, a.value) <
+         std::tie(b.var, b.origin, b.op, b.value);
+}
+
 /// Strict total order: key first, then enough fields to make the order (and
 /// therefore the sorted layout) canonical regardless of execution order —
 /// the record form of tie(key, copy, var, origin, op, value).
@@ -46,24 +55,31 @@ bool rec_less(const std::vector<Packet>& payload, const SortRec& a,
   if (a.copy != b.copy) return a.copy < b.copy;
   if (a.key == kHoleKey) return false;  // holes compare equal
   if (a.var != b.var) return a.var < b.var;
-  const Packet& pa = payload[a.handle];
-  const Packet& pb = payload[b.handle];
-  return std::tie(pa.origin, pa.op, pa.value) <
-         std::tie(pb.origin, pb.op, pb.value);
+  return payload_less(payload[a.handle], payload[b.handle]);
 }
 
-/// Reusable per-thread sort storage (the treatment RouteArena gave the
-/// router in PR 3): payload/record slabs for the block grid, drain/order/
-/// radix buffers for the analytic path, and the cached block-slot curve
-/// table. One instance per pool thread; a thread runs at most one
-/// sort_region call at a time (region tasks don't nest), so borrowing these
-/// is race-free and every steady-state sort reuses the same allocations.
+using u128 = unsigned __int128;
+
+/// Reusable per-thread sort storage: payload/record slabs for the block
+/// grid, the packed-word buffers of the analytic path, and the cached
+/// block-slot curve table. One instance per pool thread; a thread runs at
+/// most one sort_region call at a time (region tasks don't nest), so
+/// borrowing these is race-free and every steady-state sort reuses the same
+/// allocations.
 struct SortBuffers {
   std::vector<Packet> payload;
   std::vector<SortRec> recs;
-  std::vector<Packet> drained;
-  std::vector<SortRec> order;
-  std::vector<SortRec> radix;
+  // Analytic path: the back buffers holding the region's packets; per input
+  // packet in snake order its address there, its key and its copy id; then
+  // the packed words.
+  std::vector<std::vector<Packet>*> backs;
+  std::vector<const Packet*> src;
+  std::vector<u64> keys;
+  std::vector<u64> copies;
+  std::vector<u64> words64;
+  std::vector<u64> scratch64;
+  std::vector<u128> words128;
+  std::vector<u128> scratch128;
   // Block-slot map (see BlockGrid): physical slot of each region-local
   // row-major block index, cached by geometry.
   std::vector<i32> slot_of_rm;
@@ -84,65 +100,179 @@ std::vector<SortRec>& merge_scratch() {
   return s;
 }
 
-/// Sorts `v` into the canonical rec_less order. Small inputs use introsort
-/// directly; large inputs take a stable LSD byte radix over (copy, key) —
-/// skipping bytes that are zero across the input — which yields the (key,
-/// copy) order with ties in input order, then canonicalizes the rare runs of
-/// equal (key, copy) with the full comparator. Both paths produce the same
-/// sequence under the strict total order, so the choice is invisible.
-void canonical_sort(std::vector<SortRec>& v, std::vector<SortRec>& scratch,
-                    const std::vector<Packet>& payload) {
-  const size_t n = v.size();
-  const auto cmp = [&payload](const SortRec& a, const SortRec& b) {
-    return rec_less(payload, a, b);
-  };
-  if (n < 4096) {
-    std::sort(v.begin(), v.end(), cmp);
+/// Below this many words a comparison sort beats the radix passes' fixed
+/// histogram cost.
+constexpr size_t kRadixMin = 512;
+
+/// Sorts packed words ascending. The words arrive in input-index order and
+/// their bits below `lo` are that index, so a stable LSD radix over bits
+/// [lo, hi) alone yields the full ascending order: 8-bit digits, every
+/// histogram from one read pass, digits shared by all words skipped.
+template <class W>
+void sort_words(std::vector<W>& w, std::vector<W>& scratch, int lo, int hi) {
+  const size_t n = w.size();
+  if (n < kRadixMin) {
+    std::sort(w.begin(), w.end());
     return;
   }
-  u64 key_or = 0, copy_or = 0;
-  for (const SortRec& r : v) {
-    key_or |= r.key;
-    copy_or |= r.copy;
+  const int digits = (hi - lo + 7) / 8;
+  std::array<std::array<u32, 256>, 16> hist;
+  for (int d = 0; d < digits; ++d) hist[static_cast<size_t>(d)].fill(0);
+  for (const W x : w) {
+    for (int d = 0; d < digits; ++d) {
+      ++hist[static_cast<size_t>(d)]
+            [static_cast<size_t>(x >> (lo + 8 * d)) & 0xff];
+    }
   }
   scratch.resize(n);
-  SortRec* a = v.data();
-  SortRec* b = scratch.data();
-  size_t hist[256];
-  const auto pass = [&](int shift, bool on_copy) {
-    std::memset(hist, 0, sizeof(hist));
-    for (size_t i = 0; i < n; ++i) {
-      ++hist[((on_copy ? a[i].copy : a[i].key) >> shift) & 0xff];
-    }
-    size_t sum = 0;
-    for (size_t j = 0; j < 256; ++j) {
-      const size_t c = hist[j];
-      hist[j] = sum;
-      sum += c;
+  W* a = w.data();
+  W* b = scratch.data();
+  for (int d = 0; d < digits; ++d) {
+    std::array<u32, 256>& h = hist[static_cast<size_t>(d)];
+    const int shift = lo + 8 * d;
+    if (h[static_cast<size_t>(a[0] >> shift) & 0xff] == n) continue;
+    u32 sum = 0;
+    for (u32& c : h) {
+      const u32 count = c;
+      c = sum;
+      sum += count;
     }
     for (size_t i = 0; i < n; ++i) {
-      b[hist[((on_copy ? a[i].copy : a[i].key) >> shift) & 0xff]++] = a[i];
+      b[h[static_cast<size_t>(a[i] >> shift) & 0xff]++] = a[i];
     }
     std::swap(a, b);
+  }
+  if (a != w.data()) std::copy(a, a + n, w.data());
+}
+
+/// The analytic sort on `W`-wide words. Packs (key, copy, input index) into
+/// adjacent bit fields of one word, sorts the words, puts each run of equal
+/// (key, copy) into canonical payload order, then writes every packet back
+/// once — word i to snake position i / cap — setting its rank within its
+/// key run on the way.
+template <class W>
+void packed_sort(Mesh& mesh, const Region& region, i64 cap, SortBuffers& bufs,
+                 std::vector<W>& w, std::vector<W>& scratch, int key_bits,
+                 int copy_bits, int idx_bits) {
+  const size_t n = bufs.src.size();
+  const int key_shift = copy_bits + idx_bits;
+  w.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    w[i] = (static_cast<W>(bufs.keys[i]) << key_shift) |
+           (static_cast<W>(bufs.copies[i]) << idx_bits) | static_cast<W>(i);
+  }
+  sort_words(w, scratch, idx_bits, key_shift + key_bits);
+
+  const W idx_mask = (static_cast<W>(1) << idx_bits) - 1;
+  const Packet* const* src = bufs.src.data();
+  const auto packet = [&](W x) -> const Packet& {
+    return *src[static_cast<size_t>(x & idx_mask)];
   };
-  for (int s = 0; s < 64; s += 8) {
-    if (((copy_or >> s) & 0xff) != 0) pass(s, /*on_copy=*/true);
-  }
-  for (int s = 0; s < 64; s += 8) {
-    if (((key_or >> s) & 0xff) != 0) pass(s, /*on_copy=*/false);
-  }
-  if (a != v.data()) std::memcpy(v.data(), a, n * sizeof(SortRec));
-  for (size_t i = 0; i + 1 < n;) {
-    if (v[i].key == v[i + 1].key && v[i].copy == v[i + 1].copy) {
+  const auto tie_less = [&](W x, W y) {
+    const Packet& px = packet(x);
+    const Packet& py = packet(y);
+    if (payload_less(px, py)) return true;
+    if (payload_less(py, px)) return false;
+    return x < y;  // equal payload prefix: input order
+  };
+  RegionCursor cur = mesh.cursor(region);
+  std::vector<Packet>* b = &mesh.buf(cur.id());
+  i64 room = cap;
+  size_t settled = 0;  // words before this index are in final order
+  size_t run_start = 0;
+  W run_key = w[0] >> key_shift;
+  constexpr size_t kAhead = 8;  // packets fetched ahead of the write-back
+  for (size_t i = 0; i < n; ++i) {
+    if (i + kAhead < n) {
+      const char* ahead = reinterpret_cast<const char*>(&packet(w[i + kAhead]));
+      __builtin_prefetch(ahead);
+      __builtin_prefetch(ahead + sizeof(Packet) - 1);
+    }
+    if (i >= settled && i + 1 < n &&
+        (w[i + 1] >> idx_bits) == (w[i] >> idx_bits)) {
       size_t j = i + 2;
-      while (j < n && v[j].key == v[i].key && v[j].copy == v[i].copy) ++j;
-      std::sort(v.begin() + static_cast<i64>(i), v.begin() + static_cast<i64>(j),
-                cmp);
-      i = j;
-    } else {
+      while (j < n && (w[j] >> idx_bits) == (w[i] >> idx_bits)) ++j;
+      std::sort(w.begin() + static_cast<i64>(i),
+                w.begin() + static_cast<i64>(j), tie_less);
+      settled = j;
+    }
+    const W key = w[i] >> key_shift;
+    if (key != run_key) {
+      run_key = key;
+      run_start = i;
+    }
+    if (room == 0) {
+      cur.advance();
+      b = &mesh.buf(cur.id());
+      room = cap;
+    }
+    --room;
+    b->push_back(packet(w[i]));
+    b->back().rank = static_cast<u64>(i - run_start);
+  }
+}
+
+/// SortMode::Analytic: the canonical placement and ranks without the block
+/// rounds. Every node's packets leave by Mesh::swap_out (no copy), so the
+/// only packet copy is the write-back. Returns the per-node capacity L of
+/// the sort (0 for an empty region).
+i64 analytic_sort(Mesh& mesh, const Region& region) {
+  SortBuffers& bufs = sort_buffers();
+  bufs.backs.clear();
+  size_t n = 0;
+  i64 cap = 0;
+  for (RegionCursor cur = mesh.cursor(region); cur.valid(); cur.advance()) {
+    const std::vector<Packet>& out =
+        *bufs.backs.emplace_back(&mesh.swap_out(cur.id()));
+    n += out.size();
+    cap = std::max(cap, static_cast<i64>(out.size()));
+  }
+  bufs.src.resize(n);
+  bufs.keys.resize(n);
+  bufs.copies.resize(n);
+  u64 key_or = 0;
+  u64 copy_or = 0;
+  bool hole = false;
+  size_t i = 0;
+  for (const std::vector<Packet>* back : bufs.backs) {
+    for (const Packet& p : *back) {
+      bufs.src[i] = &p;
+      bufs.keys[i] = p.key;
+      bufs.copies[i] = p.copy;
+      key_or |= p.key;
+      copy_or |= p.copy;
+      hole |= p.key == kHoleKey;
       ++i;
     }
   }
+  // At least one key bit keeps every shift below the word width.
+  const int key_bits = std::max(1, static_cast<int>(std::bit_width(key_or)));
+  const int copy_bits = std::bit_width(copy_or);
+  const int idx_bits = n > 0 ? std::bit_width(n - 1) : 0;
+  if (hole || key_bits + copy_bits + idx_bits > 128) {
+    // Hand every node its packets back before failing.
+    size_t b = 0;
+    for (RegionCursor cur = mesh.cursor(region); cur.valid(); cur.advance()) {
+      mesh.buf(cur.id()).swap(*bufs.backs[b++]);
+    }
+    MP_REQUIRE(!hole, "packet key collides with sentinel");
+    MP_REQUIRE(false, "sort keys too wide to pack: "
+                          << key_bits << " key + " << copy_bits << " copy + "
+                          << idx_bits << " index bits exceed 128");
+  }
+  if (n > 0) {
+    if (key_bits + copy_bits + idx_bits <= 64) {
+      packed_sort(mesh, region, cap, bufs, bufs.words64, bufs.scratch64,
+                  key_bits, copy_bits, idx_bits);
+    } else {
+      packed_sort(mesh, region, cap, bufs, bufs.words128, bufs.scratch128,
+                  key_bits, copy_bits, idx_bits);
+    }
+  }
+  for (std::vector<Packet>* back : bufs.backs) {
+    back->clear();  // keeps capacity (reuse contract)
+  }
+  return cap;
 }
 
 /// Working state: grid of fixed-capacity sorted blocks, local (row, col).
@@ -304,18 +434,23 @@ class BlockGrid {
     return true;
   }
 
-  /// Writes blocks back to the mesh buffers, dropping hole sentinels; each
+  /// Writes blocks back to the mesh buffers in snake order, dropping hole
+  /// sentinels and setting each packet's rank within its key run; each
   /// packet moves exactly once (payload arena -> destination buffer).
   void flush() {
-    for (int r = 0; r < rows_; ++r) {
-      for (int c = 0; c < cols_; ++c) {
-        auto& b =
-            mesh_.buf(mesh_.node_id({region_.r0() + r, region_.c0() + c}));
-        MP_ASSERT(b.empty(), "mesh buffer refilled during sort");
-        const SortRec* blk = at(r, c);
-        for (i64 j = 0; j < cap_; ++j) {
-          if (!is_hole_rec(blk[j])) b.push_back(payload_[blk[j].handle]);
-        }
+    u64 run_key = kHoleKey;  // no packet carries the sentinel key
+    u64 rank = 0;
+    for (RegionCursor cur = mesh_.cursor(region_); cur.valid(); cur.advance()) {
+      auto& b = mesh_.buf(cur.id());
+      MP_ASSERT(b.empty(), "mesh buffer refilled during sort");
+      const Coord x = cur.coord();
+      const SortRec* blk = at(x.r - region_.r0(), x.c - region_.c0());
+      for (i64 j = 0; j < cap_; ++j) {
+        if (is_hole_rec(blk[j])) continue;
+        rank = blk[j].key == run_key ? rank + 1 : 0;
+        run_key = blk[j].key;
+        b.push_back(payload_[blk[j].handle]);
+        b.back().rank = rank;
       }
     }
   }
@@ -407,36 +542,17 @@ bool region_sorted(const Mesh& mesh, const Region& region) {
 namespace {
 
 const telemetry::Label kSortRegion = telemetry::intern("sort.region");
+const telemetry::Label kRankGroups = telemetry::intern("rank.groups");
 
 i64 sort_region_impl(Mesh& mesh, const Region& region,
                      const SortOptions& opts) {
-  if (mesh.total_packets(region) == 0) return 0;
-
   if (opts.mode == SortMode::Analytic) {
     // Identical final placement; charged the oblivious worst-case cost.
-    // Sorting 32-byte records (with handles into the drained packets)
-    // instead of the packets themselves, then scattering each packet once.
-    SortBuffers& bufs = sort_buffers();
-    const i64 cap = std::max<i64>(1, mesh.max_load(region));
-    std::vector<Packet>& all = bufs.drained;
-    mesh.drain_into(region, all);
-    std::vector<SortRec>& order = bufs.order;
-    order.resize(all.size());
-    for (size_t i = 0; i < all.size(); ++i) {
-      order[i] = SortRec{all[i].key, all[i].copy, all[i].var,
-                         static_cast<u32>(i)};
-    }
-    canonical_sort(order, bufs.radix, all);
-    RegionCursor cur = mesh.cursor(region);
-    for (size_t i = 0; i < order.size(); ++i) {
-      // Packet i lands at snake position i / cap; the cursor advances once
-      // per cap packets instead of recomputing at_snake per packet.
-      if (static_cast<i64>(i) / cap != cur.pos()) cur.advance();
-      mesh.buf(cur.id()).push_back(all[order[i].handle]);
-    }
-    return shearsort_step_bound(region, cap);
+    const i64 cap = analytic_sort(mesh, region);
+    return cap == 0 ? 0 : shearsort_step_bound(region, cap);
   }
 
+  if (mesh.total_packets(region) == 0) return 0;
   BlockGrid grid(mesh, region, sort_buffers());
   const int max_phases = shear_phases(region.rows());
   i64 rounds = 0;
@@ -477,6 +593,32 @@ i64 sort_region(Mesh& mesh, const Region& region, const SortOptions& opts) {
   const i64 steps = sort_region_impl(mesh, region, opts);
   span.set_steps(steps);
   return steps;
+}
+
+SortRankSteps sort_and_rank(Mesh& mesh, const Region& region,
+                            const SortOptions& opts) {
+  SortRankSteps out;
+  out.sort = sort_region(mesh, region, opts);
+  // The sort's write-back already set the ranks; what remains is the mesh's
+  // cost of computing them: an exclusive snake scan whose values are 4-word
+  // run summaries (key and length of a node's trailing run, first key,
+  // uniformity), (2 * cols + rows) steps per word.
+  telemetry::Span span(telemetry::Cat::Phase, kRankGroups);
+  out.rank = 4 * (2 * static_cast<i64>(region.cols()) + region.rows());
+  span.set_steps(out.rank);
+  return out;
+}
+
+i64 max_group_size(const Mesh& mesh, const Region& region) {
+  std::unordered_map<u64, i64> counts;
+  for (RegionCursor cur = mesh.cursor(region); cur.valid(); cur.advance()) {
+    for (const Packet& p : mesh.buf(cur.id())) {
+      ++counts[p.key];
+    }
+  }
+  i64 best = 0;
+  for (const auto& [k, v] : counts) best = std::max(best, v);
+  return best;
 }
 
 }  // namespace meshpram

@@ -34,6 +34,9 @@ NetServer::NetServer(SessionManager& manager, FairScheduler& scheduler,
   MP_REQUIRE(!config_.unix_path.empty() || config_.tcp,
              "NetServer needs at least one listener (unix_path or tcp)");
   MP_REQUIRE(config_.read_chunk >= 1, "read_chunk " << config_.read_chunk);
+  MP_REQUIRE(config_.max_events >= 1, "max_events " << config_.max_events);
+  events_.resize(static_cast<size_t>(config_.max_events));
+  chunk_.resize(static_cast<size_t>(config_.read_chunk));
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   MP_REQUIRE(epoll_fd_ >= 0, "epoll_create1: " << std::strerror(errno));
   if (!config_.unix_path.empty()) unix_fd_ = listen_unix(config_.unix_path);
@@ -144,12 +147,11 @@ void NetServer::accept_ready(int listen_fd) {
 }
 
 void NetServer::read_ready(Conn& c) {
-  std::vector<char> chunk(static_cast<size_t>(config_.read_chunk));
   for (;;) {
-    const ssize_t n = ::read(c.fd, chunk.data(), chunk.size());
+    const ssize_t n = ::read(c.fd, chunk_.data(), chunk_.size());
     if (n > 0) {
       stats_.bytes_in += n;
-      c.in.append(chunk.data(), static_cast<size_t>(n));
+      c.in.append(chunk_.data(), static_cast<size_t>(n));
       continue;
     }
     if (n == 0) {
@@ -352,16 +354,15 @@ void NetServer::on_completion(Response&& done) {
 }
 
 i64 NetServer::poll_once(int timeout_ms) {
-  std::vector<epoll_event> events(static_cast<size_t>(config_.max_events));
-  int n = ::epoll_wait(epoll_fd_, events.data(),
-                       static_cast<int>(events.size()), timeout_ms);
+  int n = ::epoll_wait(epoll_fd_, events_.data(),
+                       static_cast<int>(events_.size()), timeout_ms);
   if (n < 0) {
     MP_ASSERT(errno == EINTR, "epoll_wait: " << std::strerror(errno));
     n = 0;
   }
   for (int i = 0; i < n; ++i) {
-    const int fd = events[static_cast<size_t>(i)].data.fd;
-    const u32 flags = events[static_cast<size_t>(i)].events;
+    const int fd = events_[static_cast<size_t>(i)].data.fd;
+    const u32 flags = events_[static_cast<size_t>(i)].events;
     if (fd == unix_fd_ || fd == tcp_fd_) {
       accept_ready(fd);
       continue;

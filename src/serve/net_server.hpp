@@ -36,6 +36,8 @@
 // (enforced under the tsan-serve-net preset).
 #pragma once
 
+#include <sys/epoll.h>
+
 #include <atomic>
 #include <map>
 #include <optional>
@@ -149,6 +151,10 @@ class NetServer {
   u64 next_internal_id_ = 1;
   NetServerStats stats_;
   std::vector<int> dead_;  ///< fds to close after the event sweep
+  /// Scratch sized once at construction: poll_once's epoll result array and
+  /// read_ready's read buffer (one per server, reused by every round).
+  std::vector<epoll_event> events_;
+  std::vector<char> chunk_;
 };
 
 }  // namespace meshpram::serve

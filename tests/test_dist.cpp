@@ -259,6 +259,50 @@ TEST(DistMachineTest, ValidateModeStaysGreen) {
   EXPECT_EQ(machine.step(reqs), oracle.step(reqs));
 }
 
+TEST(DistMachineTest, RankThreadsPersistAcrossSteps) {
+  // A traced machine registers each rank thread's telemetry ring once: the
+  // ring count stays flat after the first step (fresh threads per step grew
+  // it by one ring per rank per step). The machine stays bit-identical to
+  // the oracle throughout, including after a step every rank rejects.
+  const int side = pick_side(3);
+  ASSERT_GT(side, 0) << "no probed side admits 3 ranks";
+  const SimConfig cfg = mid_mem_config(side);
+  const i64 n = static_cast<i64>(side) * side;
+  telemetry::clear();
+  telemetry::set_enabled(true);
+  PramMeshSimulator oracle(cfg);
+  DistConfig dc;
+  dc.sim = cfg;
+  dc.ranks = 3;
+  dc.validate = 0;
+  DistMachine machine(dc);
+  Rng rng(23);
+  int rings = -1;
+  for (int step = 0; step < 100; ++step) {
+    SCOPED_TRACE(::testing::Message() << "step " << step);
+    const auto reqs = random_requests(n, cfg.num_vars, rng,
+                                      step % 2 == 0 ? Op::Write : Op::Read);
+    StepStats want, got;
+    ASSERT_EQ(machine.step(reqs, &got), oracle.step(reqs, &want));
+    expect_stats_eq(got, want);
+    if (step == 0) {
+      rings = telemetry::thread_count();
+    } else {
+      ASSERT_EQ(telemetry::thread_count(), rings);
+    }
+    if (step == 50) {
+      std::vector<AccessRequest> bad = reqs;
+      bad[1].var = bad[0].var;  // EREW violation: every rank throws
+      EXPECT_THROW(machine.step(bad), ConfigError);
+      EXPECT_THROW(oracle.step(bad), ConfigError);
+    }
+    telemetry::clear();  // rings keep their capacity
+  }
+  EXPECT_EQ(machine.now(), oracle.now());
+  telemetry::set_enabled(false);
+  telemetry::clear();
+}
+
 TEST(DistMachineTest, ModuleFaultPlanIdentity) {
   // Module-only plans keep routing fault-free, so this exercises the
   // partitioned mode's degraded path.

@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "fault/plan.hpp"
@@ -15,7 +17,6 @@
 #include "routing/greedy.hpp"
 #include "routing/lroute.hpp"
 #include "routing/meshsort.hpp"
-#include "routing/rank.hpp"
 #include "routing/scan.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
@@ -258,6 +259,13 @@ TEST(Sort, RejectsSentinelKey) {
   Mesh mesh(2, 2);
   mesh.buf(0).push_back(mk(kHoleKey));
   EXPECT_THROW(sort_region(mesh, mesh.whole()), ConfigError);
+  Mesh ana(2, 2);
+  ana.buf(0).push_back(mk(kHoleKey));
+  ana.buf(2).push_back(mk(3));
+  EXPECT_THROW(sort_region(ana, ana.whole(), {SortMode::Analytic}),
+               ConfigError);
+  EXPECT_EQ(ana.buf(0).size(), 1u);  // packets handed back on failure
+  EXPECT_EQ(ana.buf(2).size(), 1u);
 }
 
 TEST(Sort, StepBoundFormula) {
@@ -293,9 +301,10 @@ TEST(Rank, RanksWithinGroupsAfterSort) {
   const Region g = mesh.whole();
   Rng rng(17);
   scatter_random(mesh, g, 300, 9, rng);  // many collisions across 9 keys
-  sort_region(mesh, g);
-  const i64 steps = rank_within_groups(mesh, g);
-  EXPECT_GT(steps, 0);
+  const SortRankSteps steps = sort_and_rank(mesh, g);
+  EXPECT_GT(steps.sort, 0);
+  EXPECT_EQ(steps.rank, 4 * (2 * 6 + 6));
+  EXPECT_EQ(steps.total(), steps.sort + steps.rank);
 
   // Every key group must carry ranks 0..groupsize-1 exactly once.
   std::map<u64, std::set<u64>> ranks;
@@ -314,11 +323,272 @@ TEST(Rank, RanksWithinGroupsAfterSort) {
   }
 }
 
-TEST(Rank, RequiresSortedRegion) {
+// ---------------------------------------------------------------------------
+// Fused sort-and-rank: both modes against a std::sort-plus-scan oracle.
+// ---------------------------------------------------------------------------
+
+/// The canonical order both sort modes promise.
+bool canonical_less(const Packet& a, const Packet& b) {
+  return std::tie(a.key, a.copy, a.var, a.origin, a.op, a.value) <
+         std::tie(b.key, b.copy, b.var, b.origin, b.op, b.value);
+}
+
+/// The mesh ranking the sort's write-back replaces: per-node run summaries
+/// combined by an exclusive snake scan, then a local pass per node. Sets
+/// Packet::rank on a key-sorted region and returns the scan's charge.
+i64 oracle_rank_scan(Mesh& mesh, const Region& g) {
+  struct Run {
+    bool empty = true;
+    u64 first = 0;
+    u64 last = 0;
+    i64 trail = 0;  // length of the trailing run (key == last)
+    bool uniform = true;
+  };
+  std::vector<Run> vals;
+  for (RegionCursor cur = mesh.cursor(g); cur.valid(); cur.advance()) {
+    const auto& b = mesh.buf(cur.id());
+    Run r;
+    if (!b.empty()) {
+      r.empty = false;
+      r.first = b.front().key;
+      r.last = b.back().key;
+      for (size_t i = b.size(); i > 0 && b[i - 1].key == r.last; --i) {
+        ++r.trail;
+      }
+      r.uniform = r.first == r.last;
+    }
+    vals.push_back(r);
+  }
+  const auto combine = [](const Run& a, const Run& b) {
+    if (a.empty) return b;
+    if (b.empty) return a;
+    Run r;
+    r.empty = false;
+    r.first = a.first;
+    r.last = b.last;
+    const bool joins = b.uniform && b.first == a.last;
+    r.trail = joins ? a.trail + b.trail : b.trail;
+    r.uniform = joins && a.uniform;
+    return r;
+  };
+  const auto scan = scan_snake<Run>(g, vals, Run{}, combine, /*words=*/4);
+  for (RegionCursor cur = mesh.cursor(g); cur.valid(); cur.advance()) {
+    auto& b = mesh.buf(cur.id());
+    if (b.empty()) continue;
+    const Run& pred = scan.prefix[static_cast<size_t>(cur.pos())];
+    i64 run = (!pred.empty && pred.last == b.front().key) ? pred.trail : 0;
+    u64 key = b.front().key;
+    for (Packet& p : b) {
+      if (p.key != key) {
+        key = p.key;
+        run = 0;
+      }
+      p.rank = static_cast<u64>(run++);
+    }
+  }
+  return scan.steps;
+}
+
+/// Oracle placement: every packet of `g`, std::sort-ed canonically, packed
+/// at cap = max load per snake position, then ranked by the scan.
+i64 oracle_sort_and_rank(Mesh& mesh, const Region& g) {
+  const i64 cap = mesh.max_load(g);
+  std::vector<Packet> all = mesh.drain(g);
+  std::sort(all.begin(), all.end(), canonical_less);
+  for (size_t i = 0; i < all.size(); ++i) {
+    mesh.buf(mesh.node_at(g, static_cast<i64>(i) / cap)).push_back(all[i]);
+  }
+  return oracle_rank_scan(mesh, g);
+}
+
+/// Node-by-node equality of the compared fields, the rank and the trail
+/// marker (a payload field the sort never reads) over the whole mesh.
+void expect_same_layout(const Mesh& a, const Mesh& b, const char* what) {
+  ASSERT_EQ(a.size(), b.size());
+  for (i32 id = 0; id < a.size(); ++id) {
+    const auto& ba = a.buf(id);
+    const auto& bb = b.buf(id);
+    ASSERT_EQ(ba.size(), bb.size()) << what << ": node " << id;
+    for (size_t i = 0; i < ba.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << what << ": node " << id
+                                        << " slot " << i);
+      EXPECT_EQ(ba[i].key, bb[i].key);
+      EXPECT_EQ(ba[i].copy, bb[i].copy);
+      EXPECT_EQ(ba[i].var, bb[i].var);
+      EXPECT_EQ(ba[i].origin, bb[i].origin);
+      EXPECT_EQ(ba[i].op, bb[i].op);
+      EXPECT_EQ(ba[i].value, bb[i].value);
+      EXPECT_EQ(ba[i].rank, bb[i].rank);
+    }
+  }
+}
+
+/// Fills `g` with packets drawn to stress the tie-breaks: few keys (heavy
+/// duplicates), few copy ids (duplicate (key, copy) pairs, some identical
+/// up to the payload), uneven loads, and only the first `used` snake
+/// positions occupied (empty tail). Also drops one packet outside `g`.
+void fill_ties(Mesh& mesh, const Region& g, i64 count, i64 used, u64 seed) {
+  Rng rng(seed);
+  for (i64 i = 0; i < count; ++i) {
+    Packet p;
+    p.key = rng.below(5);
+    p.copy = rng.below(3);
+    p.var = static_cast<i64>(rng.below(4));
+    p.origin = static_cast<i32>(rng.below(3));
+    p.op = rng.below(2) == 0 ? Op::Read : Op::Write;
+    p.value = static_cast<i64>(rng.below(2));
+    p.rank = 999;  // stale: the sort must overwrite it
+    mesh.buf(mesh.node_at(g, rng.range(0, used - 1))).push_back(p);
+  }
+  if (!(g == mesh.whole())) {
+    Packet outside;
+    outside.key = 7;
+    outside.rank = 42;
+    for (RegionCursor cur = mesh.cursor(mesh.whole()); cur.valid();
+         cur.advance()) {
+      if (!g.contains(cur.coord())) {
+        mesh.buf(cur.id()).push_back(outside);
+        break;
+      }
+    }
+  }
+}
+
+TEST(SortRank, AnalyticAndSimulatedMatchSortPlusScanOracle) {
+  struct Case {
+    int rows, cols;
+    Region region;
+    i64 count;
+    i64 used;  // occupied leading snake positions
+  };
+  const std::vector<Case> cases = {
+      {8, 8, Region(0, 0, 8, 8), 300, 64},
+      {8, 8, Region(0, 0, 8, 8), 200, 23},     // empty tail
+      {8, 8, Region(2, 1, 4, 6), 150, 24},     // inside the mesh
+      {16, 16, Region(3, 5, 7, 9), 2000, 50},  // radix path, odd shape
+      {16, 16, Region(0, 0, 16, 16), 4000, 256},
+      {5, 7, Region(0, 0, 5, 7), 1, 1},
+  };
+  for (const NodeOrderKind order :
+       {NodeOrderKind::RowMajor, NodeOrderKind::Hilbert}) {
+    for (size_t c = 0; c < cases.size(); ++c) {
+      const Case& k = cases[c];
+      SCOPED_TRACE(::testing::Message()
+                   << node_order_name(order) << " case " << c);
+      Mesh sim(k.rows, k.cols, order), ana(k.rows, k.cols, order),
+          want(k.rows, k.cols, order);
+      const u64 seed = 1000 + c;
+      fill_ties(sim, k.region, k.count, k.used, seed);
+      fill_ties(ana, k.region, k.count, k.used, seed);
+      fill_ties(want, k.region, k.count, k.used, seed);
+
+      const SortRankSteps s = sort_and_rank(sim, k.region,
+                                            {SortMode::Simulated});
+      const SortRankSteps a = sort_and_rank(ana, k.region,
+                                            {SortMode::Analytic});
+      const i64 scan_steps = oracle_sort_and_rank(want, k.region);
+      expect_same_layout(want, sim, "simulated");
+      expect_same_layout(want, ana, "analytic");
+      EXPECT_EQ(s.rank, scan_steps);
+      EXPECT_EQ(a.rank, scan_steps);
+      EXPECT_EQ(a.sort,
+                shearsort_step_bound(k.region, want.max_load(k.region)));
+      EXPECT_LE(s.sort, a.sort);
+    }
+  }
+}
+
+TEST(SortRank, EmptyRegionChargesOnlyTheRankScan) {
+  Mesh mesh(4, 6);
+  for (const SortMode mode : {SortMode::Simulated, SortMode::Analytic}) {
+    const SortRankSteps st = sort_and_rank(mesh, mesh.whole(), {mode});
+    EXPECT_EQ(st.sort, 0);
+    EXPECT_EQ(st.rank, 4 * (2 * 6 + 4));
+  }
+}
+
+TEST(SortRank, CopyIdTooWideToPackThrows) {
+  // 64 key bits + 64 copy bits + 1 index bit exceed the two packed words.
   Mesh mesh(2, 2);
-  mesh.buf(0).push_back(mk(5));
-  mesh.buf(3).push_back(mk(1));  // descending along snake
-  EXPECT_THROW(rank_within_groups(mesh, mesh.whole()), InternalError);
+  Packet p;
+  p.key = u64{1} << 63;
+  p.copy = ~u64{0};
+  mesh.buf(0).push_back(p);
+  mesh.buf(3).push_back(p);
+  EXPECT_THROW(sort_and_rank(mesh, mesh.whole(), {SortMode::Analytic}),
+               ConfigError);
+  // The failed call left every packet where it was; the block sort, which
+  // compares instead of packing, still handles them.
+  EXPECT_EQ(mesh.buf(0).size(), 1u);
+  EXPECT_EQ(mesh.buf(3).size(), 1u);
+  sort_and_rank(mesh, mesh.whole(), {SortMode::Simulated});
+  EXPECT_EQ(mesh.total_packets(mesh.whole()), 2);
+  // One copy bit less fills the 128 bits exactly: the two-word path sorts
+  // it (a key-1 packet moves ahead of the wide one).
+  Mesh fits(2, 2);
+  p.copy = ~u64{0} >> 1;
+  fits.buf(fits.node_at(fits.whole(), 0)).push_back(p);
+  p.key = 1;
+  fits.buf(fits.node_at(fits.whole(), 3)).push_back(p);
+  sort_and_rank(fits, fits.whole(), {SortMode::Analytic});
+  ASSERT_EQ(fits.buf(fits.node_at(fits.whole(), 0)).size(), 1u);
+  EXPECT_EQ(fits.buf(fits.node_at(fits.whole(), 0))[0].key, 1u);
+  EXPECT_EQ(fits.buf(fits.node_at(fits.whole(), 1))[0].key, u64{1} << 63);
+}
+
+TEST(SortRank, ZeroKeysWithFullWidthCopiesSortByCopy) {
+  // Every key 0 while copy and index bits fill a whole word: the packing
+  // must not shift by the word width (UBSan checks this).
+  Mesh mesh(2, 2);
+  Packet p;
+  p.copy = (u64{1} << 62) + 5;
+  mesh.buf(mesh.node_at(mesh.whole(), 0)).push_back(p);
+  p.copy = 5;
+  mesh.buf(mesh.node_at(mesh.whole(), 3)).push_back(p);
+  const SortRankSteps st =
+      sort_and_rank(mesh, mesh.whole(), {SortMode::Analytic});
+  EXPECT_EQ(st.sort, shearsort_step_bound(mesh.whole(), 1));
+  const auto& first = mesh.buf(mesh.node_at(mesh.whole(), 0));
+  const auto& second = mesh.buf(mesh.node_at(mesh.whole(), 1));
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_EQ(first[0].copy, 5u);
+  EXPECT_EQ(first[0].rank, 0u);
+  EXPECT_EQ(second[0].rank, 1u);  // one key group across both nodes
+}
+
+TEST(SortRank, RegionParallelMatchesOneThread) {
+  // Many disjoint regions sorted concurrently (each pool thread borrows its
+  // own sort buffers; the back buffers are per node) against one thread.
+  std::vector<Region> subs;
+  for (int r = 0; r < 16; r += 4) {
+    for (int c = 0; c < 16; c += 4) subs.emplace_back(r, c, 4, 4);
+  }
+  std::vector<std::vector<i64>> steps(2);
+  std::vector<std::unique_ptr<Mesh>> meshes;
+  for (const int threads : {1, 4}) {
+    set_execution_threads(threads);
+    for (const SortMode mode : {SortMode::Analytic, SortMode::Simulated}) {
+      auto mesh = std::make_unique<Mesh>(16, 16, NodeOrderKind::Hilbert);
+      for (size_t i = 0; i < subs.size(); ++i) {
+        fill_ties(*mesh, subs[i], 40 + static_cast<i64>(i) * 7, 16, 50 + i);
+      }
+      for (int rep = 0; rep < 2; ++rep) {  // second pass reuses the buffers
+        const std::vector<i64> got = parallel_for_regions(
+            *mesh, subs, [&](const Region& sub) {
+              return sort_and_rank(*mesh, sub, {mode}).total();
+            });
+        steps[threads == 1 ? 0 : 1].insert(steps[threads == 1 ? 0 : 1].end(),
+                                           got.begin(), got.end());
+      }
+      meshes.push_back(std::move(mesh));
+    }
+  }
+  set_execution_threads(0);
+  EXPECT_EQ(steps[0], steps[1]);
+  expect_same_layout(*meshes[0], *meshes[2], "analytic, 4 vs 1 threads");
+  expect_same_layout(*meshes[1], *meshes[3], "simulated, 4 vs 1 threads");
+  expect_same_layout(*meshes[0], *meshes[1], "analytic vs simulated");
 }
 
 TEST(Rank, MaxGroupSize) {
