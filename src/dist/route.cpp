@@ -72,7 +72,7 @@ DistRouteStats dist_route_whole(Mesh& mesh, const RankPartition& part,
   // with its absolute destination; every other hop is a local deposit.
   const auto sink = [&](i64 s, Coord at, int di, const TransitRec& rec) {
     if (k.shape.nbr[static_cast<size_t>(s * kNumDirs + di)] >= 0) {
-      k.deposit<true>(s, at, di, rec);
+      k.deposit(s, at, di, rec);
       return;
     }
     const Coord to = step_toward(at, static_cast<Dir>(di));

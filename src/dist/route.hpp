@@ -1,16 +1,15 @@
 // Distributed greedy XY routing over the whole mesh (DESIGN.md §13.2).
 //
-// Each rank runs the greedy kernel of routing/greedy_kernel.hpp — the same
-// pick, commit and absorb as route_greedy — over its own row band. Only the
-// hop sink differs: a packet whose XY hop crosses a band edge (always a
-// single vertical hop) is exported as a boundary-lane frame to the
-// neighbouring rank instead of deposited into a local incoming lane. The
-// per-sweep allreduce of delivered counts doubles as the lockstep barrier,
-// so every rank executes the same number of sweeps — the step count is
-// bit-identical to the single-process router by the same argument that makes
-// the stripe team bit-identical to the serial walk (per-node decisions
-// depend only on per-node state; each lane has exactly one writer, here a
-// message instead of a store).
+// Each rank runs the step kernel of routing/greedy_kernel.hpp —
+// farthest-first pick, commit and absorb, the schedule route_greedy's line
+// engine reproduces — over its own row band. Only the hop sink differs: a
+// packet whose XY hop crosses a band edge (always a single vertical hop) is
+// exported as a boundary-lane frame to the neighbouring rank instead of
+// deposited into a local incoming lane. The per-sweep allreduce of delivered
+// counts doubles as the lockstep barrier, so every rank executes the same
+// number of sweeps, and the step count is bit-identical to the
+// single-process router: per-node decisions depend only on per-node state,
+// and each lane has exactly one writer, here a message instead of a store.
 #pragma once
 
 #include "dist/collectives.hpp"

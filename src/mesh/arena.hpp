@@ -1,8 +1,8 @@
 // Flat, reusable transit storage for the routing kernels.
 //
-// route_greedy used to allocate a vector-of-vectors of full Packets per call
-// — two heap allocations per node per call and ~112 bytes moved per hop. The
-// arena replaces that with three flat slabs, recycled across calls:
+// Every route call keeps its in-flight Packets in one flat slab here; the
+// step-by-step kernel (greedy_kernel.hpp: the fault router and the rank-band
+// router) also walks per-node queues and lanes laid out by layout():
 //
 //   payload   in-flight Packets, written once at setup and read once at
 //             delivery; they never move while the packet is in transit.
@@ -13,11 +13,9 @@
 //   lanes     per-node incoming mailboxes, one slot per direction of motion.
 //             A node receives at most one packet per incoming link per step
 //             (each neighbor forwards at most one packet per outgoing
-//             direction), so four slots suffice — and because each lane has
-//             exactly one writer (the neighbor on that side), stripe workers
-//             can deposit boundary packets without locks. Flags are separate
-//             bytes, not a packed mask, so concurrent lane writes to one node
-//             never touch the same byte.
+//             direction), so four slots suffice, and each lane has exactly
+//             one writer (the neighbor on that side, or the band router's
+//             boundary import).
 //
 // Each arena also caches, per region extent, the slot maps, slot
 // coordinates and neighbour slots (RouteShape), and carries the serial
@@ -127,31 +125,34 @@ class RouteArena {
   static constexpr u32 kInvalidHandle = ~0u;
 
   /// Starts a new route call over `region`: clears the payload and setup
-  /// scratch, zeroes queue counts, lane flags and the serial walks'
-  /// bitmaps. Capacities of all slabs are kept (reuse contract). `order`
-  /// picks the physical placement of the per-node queue/lane blocks: under
-  /// Hilbert the blocks follow the same curve as the mesh's node state, so
-  /// neighboring nodes' transit queues share cache lines at every
-  /// tessellation level. Purely physical — the shape's tables translate
-  /// between snake positions and slots.
+  /// scratch. Capacities of all slabs are kept (reuse contract). `order`
+  /// picks the physical placement of the per-node queue/lane blocks that
+  /// layout() prepares: under Hilbert the blocks follow the same curve as
+  /// the mesh's node state, so neighboring nodes' transit queues share cache
+  /// lines at every tessellation level. Purely physical — the shape's tables
+  /// translate between snake positions and slots.
   void reset(const Region& region, NodeOrderKind order) {
+    region_ = region;
+    order_ = order;
     nodes_ = region.size();
     payload.clear();
     setup_rec.clear();
-    setup_slot.clear();
-    select_shape(region, order);
+    setup_pos.clear();
+  }
+
+  /// Prepares the queue walks over the region of the last reset(): selects
+  /// the shape's tables, zeroes queue counts, lane flags and the serial
+  /// walks' bitmaps, and sizes the strided queue slab for `cap` records per
+  /// node. Slab contents are garbage until scattered into.
+  void layout(i64 cap) {
+    MP_ASSERT(cap >= kNumDirs, "queue capacity " << cap);
+    select_shape(region_, order_);
     count_.assign(static_cast<size_t>(nodes_), 0);
     in_rec_.resize(static_cast<size_t>(nodes_) * kNumDirs);
     in_full_.assign(static_cast<size_t>(nodes_) * kNumDirs, 0);
     const size_t words = static_cast<size_t>((nodes_ + 63) / 64);
     active.assign(words, 0);
     arrived.assign(words, 0);
-  }
-
-  /// Sizes the strided queue slab for `cap` records per node. Contents are
-  /// garbage until scattered into; counts must be zero.
-  void layout(i64 cap) {
-    MP_ASSERT(cap >= kNumDirs, "queue capacity " << cap);
     cap_ = cap;
     rec_.resize(static_cast<size_t>(nodes_) * static_cast<size_t>(cap));
   }
@@ -182,19 +183,20 @@ class RouteArena {
   TransitRec* lane_recs() { return in_rec_.data(); }
   unsigned char* lane_full() { return in_full_.data(); }
 
-  /// Tables of the current call's region extent (valid after reset()).
+  /// Tables of the current call's region extent (valid after layout()).
   const RouteShape& shape() const { return *shape_; }
 
   /// In-flight packets, appended at setup; stable until the call completes.
   std::vector<Packet> payload;
-  /// Setup scratch: records and their nodes' slots in discovery (snake)
-  /// order, scattered into the strided queues once the capacity is known.
+  /// Setup scratch: records and their nodes' snake positions in discovery
+  /// (snake) order, scattered into the strided queues once the capacity is
+  /// known.
   std::vector<TransitRec> setup_rec;
-  std::vector<i64> setup_slot;
+  std::vector<i32> setup_pos;
 
   /// Serial-walk bitmaps over physical slots (bit s of word s / 64):
   /// `active` marks nodes with a non-empty transit queue, `arrived` the
-  /// nodes that received a lane deposit this step. Zeroed by reset().
+  /// nodes that received a lane deposit this step. Zeroed by layout().
   std::vector<u64> active;
   std::vector<u64> arrived;
 
@@ -220,6 +222,8 @@ class RouteArena {
     shape_ = shapes_.back().get();
   }
 
+  Region region_;
+  NodeOrderKind order_ = NodeOrderKind::RowMajor;
   i64 nodes_ = 0;
   i64 cap_ = 0;
   std::vector<std::unique_ptr<RouteShape>> shapes_;

@@ -1,5 +1,6 @@
 #include "mesh/parallel.hpp"
 
+#include <atomic>
 #include <cstdlib>
 
 #include "telemetry/telemetry.hpp"

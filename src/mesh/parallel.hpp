@@ -10,9 +10,7 @@
 // mesh steps are bit-identical to a sequential run at any thread count.
 #pragma once
 
-#include <atomic>
 #include <functional>
-#include <thread>
 #include <vector>
 
 #include "mesh/machine.hpp"
@@ -20,47 +18,6 @@
 #include "mesh/step_counter.hpp"
 
 namespace meshpram {
-
-/// Sense-reversing spin barrier for the intra-region stripe teams (routing
-/// kernels split one region into row stripes and synchronize once per sweep).
-/// Spinning (with yield) rather than blocking: the sweeps between barriers
-/// are microseconds, and every team member owns a pool thread for the whole
-/// call, so there is nothing better for a waiter to do.
-///
-/// MP_ASSERT/MP_REQUIRE stay armed in release builds, so any team member can
-/// throw between barriers; kill() aborts the rendezvous — every current and
-/// future wait() returns false and the workers unwind instead of deadlocking.
-class SpinBarrier {
- public:
-  explicit SpinBarrier(int parties) : parties_(parties) {}
-
-  /// Blocks until all parties arrive; returns false if the barrier was
-  /// killed (the caller must stop using shared state and return).
-  bool wait() {
-    if (parties_ == 1) return !killed_.load(std::memory_order_acquire);
-    if (killed_.load(std::memory_order_acquire)) return false;
-    const u64 phase = phase_.load(std::memory_order_acquire);
-    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
-      arrived_.store(0, std::memory_order_relaxed);
-      phase_.fetch_add(1, std::memory_order_release);
-    } else {
-      while (phase_.load(std::memory_order_acquire) == phase) {
-        if (killed_.load(std::memory_order_acquire)) return false;
-        std::this_thread::yield();
-      }
-    }
-    return !killed_.load(std::memory_order_acquire);
-  }
-
-  /// Aborts the rendezvous permanently (exception escape hatch).
-  void kill() { killed_.store(true, std::memory_order_release); }
-
- private:
-  int parties_;
-  std::atomic<i64> arrived_{0};
-  std::atomic<u64> phase_{0};
-  std::atomic<bool> killed_{false};
-};
 
 /// Runs fn(region) for every region of `regions` on the execution pool and
 /// returns the per-region step costs in input order. `fn` must obey the
@@ -84,7 +41,7 @@ i64 parallel_max_regions(Mesh& mesh, const std::vector<Region>& regions,
                          const std::function<i64(const Region&)>& fn);
 
 /// Minimum region size (in nodes) before a routing/sorting kernel engages
-/// its intra-region worker team (route_greedy stripes, the meshsort
+/// its intra-region worker team (route_greedy's line teams, the meshsort
 /// odd-even rounds). Default 4096, overridable via the
 /// MESHPRAM_STRIPE_MIN_NODES environment variable; set_stripe_min_nodes(0)
 /// restores that default. Purely a performance knob — results never depend

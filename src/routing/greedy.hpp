@@ -4,7 +4,9 @@
 // (north/south). Per machine step, every directed link carries at most one
 // packet; when several queued packets want the same outgoing link, the one
 // with the largest remaining distance goes first (farthest-first is the
-// classic priority that makes greedy routing optimal for permutations).
+// classic priority that makes greedy routing optimal for permutations), and
+// of equals the one queued first; a node queues one step's arrivals in a
+// fixed lane order (DESIGN.md §9).
 // Queues are unbounded (store-and-forward with buffering at the nodes);
 // congestion and queueing delay are therefore emergent, which is exactly
 // what the (l1,l2)-routing benches measure against Theorem 2.
@@ -30,25 +32,30 @@ struct RouteStats {
 /// Routes every packet buffered in `region` to its Packet::dest node buffer.
 /// All destinations must lie inside `region`. Returns cycle-accurate stats.
 ///
-/// One kernel (greedy_kernel.hpp, DESIGN.md §9) runs every variant. Small
-/// regions walk it serially; regions of at least stripe_min_nodes() nodes
-/// (mesh/parallel.hpp) are decomposed into row stripes executed by a worker
-/// team with a barrier per pass. Results, RouteStats, and the congestion
-/// counter grids are bit-identical at any thread count.
+/// Fault-free calls run the line engine (greedy.cpp, DESIGN.md §9): the E
+/// and W line of every row, then the S and N line of every column, each
+/// solved one priority class at a time against per-position slot bitsets.
+/// It reproduces the machine-step schedule exactly: steps, max_queue, the
+/// per-node delivery order and the congestion counter grids. Regions of at
+/// least stripe_min_nodes() nodes (mesh/parallel.hpp) solve their lines in
+/// chunks on the execution pool; results are bit-identical at any thread
+/// count. Each call records one `route.greedy` span (with its steps), and
+/// under it `route.rows` and `route.cols`.
 ///
 /// When the mesh carries a fault plan that affects routing (dead or stalled
-/// links, a positive drop rate), the call runs the kernel serially under the
-/// fault policy (greedy_fault.cpp): stalled hops back off and retry, dead
-/// links are detoured, drops are retransmitted — no packet is ever lost.
-/// Plans that only kill memory modules stay on the fast path, so their step
-/// counts are bit-identical to the fault-free run.
+/// links, a positive drop rate), the call runs the step kernel
+/// (greedy_kernel.hpp) serially under the fault policy (greedy_fault.cpp):
+/// stalled hops back off and retry, dead links are detoured, drops are
+/// retransmitted — no packet is ever lost. Plans that only kill memory
+/// modules stay on the line engine, so their step counts are bit-identical
+/// to the fault-free run.
 RouteStats route_greedy(Mesh& mesh, const Region& region);
 
-/// Test hook: extra per-node queue capacity laid out beyond the setup-time
-/// maximum depth (default 2). Raising it pre-grows the arena so the overflow
-/// grow path never triggers; the adversarial-burst tests compare the two
-/// configurations for bit-identical delivery. Not thread-safe; set it before
-/// spawning work.
+/// Test hook: extra per-node queue capacity the step kernel lays out beyond
+/// the setup-time maximum depth (default 2). Raising it pre-grows the arena
+/// so the overflow grow path never triggers; the adversarial-burst test
+/// compares the two configurations for bit-identical delivery. Not
+/// thread-safe; set it before spawning work.
 void set_route_initial_headroom(i64 slots);
 i64 route_initial_headroom();
 

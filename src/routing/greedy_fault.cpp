@@ -261,7 +261,7 @@ void route_greedy_fault(Mesh& mesh, const Region& region, RouteArena& ar,
     }
   };
   const auto sink = [&k](i64 s, Coord at, int di, const TransitRec& rec) {
-    k.deposit<true>(s, at, di, rec);
+    k.deposit(s, at, di, rec);
   };
 
   while (remaining > 0) {

@@ -1,6 +1,9 @@
-// The greedy XY store-and-forward kernel (DESIGN.md §9), shared by every
-// router: route_greedy's serial walk and stripe team (greedy.cpp), the fault
+// The step-by-step greedy XY store-and-forward kernel (DESIGN.md §9),
+// shared by the routers that need a machine step's whole state: the fault
 // kernel (greedy_fault.cpp) and the rank-band router (dist/route.cpp).
+// Fault-free route_greedy calls use the line engine instead (greedy.cpp),
+// which reproduces this kernel's schedule exactly; both start from
+// collect_route below.
 //
 // A transit record holds the remaining (dr, dc) offset to its destination
 // from seeding on, so its direction and distance are two register reads and
@@ -9,14 +12,14 @@
 // neighbour's incoming lane) and an absorb pass (every node drains its lanes
 // in canonical order). The per-node bodies of both passes live here once;
 // a router differs only in how it picks (farthest-first argmax, or the fault
-// kernel's per-packet decisions), where a hop lands (a hop sink: a local
-// lane, or the band router's boundary lane) and how a full queue overflows
-// (grow in place, or spill from a stripe worker).
+// kernel's per-packet decisions) and where a hop lands (a hop sink: a local
+// lane, or the band router's boundary lane). A full queue grows the arena in
+// place.
 //
 // A step's moves depend only on per-node state, never on the order nodes are
 // visited: each lane has one writer, each buffer one owner, and the counters
-// are per node. So the serial walks visit physical slots (cache order) and
-// the stripe team visits snake positions, with bit-identical results.
+// are per node. So the walks visit physical slots (cache order) and still
+// reproduce the snake-order sweep bit for bit.
 #pragma once
 
 #include <algorithm>
@@ -77,13 +80,57 @@ struct ArenaLease {
   RouteArena& ar;
 };
 
-/// The one route setup: resets `ar` over `region` (in the mesh's node
-/// order), splits each of the region's buffers into home packets (kept in
-/// place) and transit records holding their (dr, dc) offset, lays out the
-/// queue slab with headroom, scatters the records in snake discovery order
-/// and marks their nodes active. Every destination must lie in
-/// `dest_region`. Adds packets and total_distance to `stats`; returns the
-/// number of records in transit.
+/// The one route setup walk: resets `ar` over `region` and splits each of
+/// the region's buffers (in snake order) into home packets, kept in place
+/// and in order, and packets in transit, which move to ar.payload. Calls
+/// `on_transit(pos, at, dest, handle)` for each of them in discovery order
+/// (buffer order within a node), with the node's snake position and
+/// coordinate, the destination coordinate and the payload handle. Every
+/// destination must lie in `dest_region`. Adds packets and total_distance to
+/// `stats`; returns the number of packets in transit.
+template <class OnTransit>
+i64 collect_route(Mesh& mesh, const Region& region, const Region& dest_region,
+                  RouteArena& ar, RouteStats& stats, OnTransit&& on_transit) {
+  ar.reset(region, mesh.order().kind());
+  MP_REQUIRE(mesh.rows() <= 32767 && mesh.cols() <= 32767,
+             "mesh too large for 16-bit transit offsets");
+  i64 in_flight = 0;
+  for (RegionCursor cur = mesh.cursor(region); cur.valid(); cur.advance()) {
+    const Coord x = cur.coord();
+    const i32 id = cur.id();
+    auto& b = mesh.buf(id);
+    stats.packets += static_cast<i64>(b.size());
+    size_t kept = 0;
+    for (size_t j = 0; j < b.size(); ++j) {
+      const Packet& p = b[j];
+      if (p.dest == id) {
+        // Already home (distance 0); stays in the buffer. Copy only once a
+        // packet ahead of it has left (most buffers are all-home or
+        // all-transit).
+        if (kept != j) b[kept] = p;
+        ++kept;
+        continue;
+      }
+      MP_REQUIRE(p.dest >= 0 && p.dest < mesh.size(),
+                 "packet without destination");
+      const Coord d = mesh.coord(p.dest);
+      MP_REQUIRE(dest_region.contains(d),
+                 "destination " << d << " outside routing region "
+                                << dest_region);
+      stats.total_distance += manhattan(x, d);
+      on_transit(cur.pos(), x, d, static_cast<u32>(ar.payload.size()));
+      ar.payload.push_back(p);
+      ++in_flight;
+    }
+    b.erase(b.begin() + static_cast<std::ptrdiff_t>(kept), b.end());
+  }
+  return in_flight;
+}
+
+/// collect_route plus the queue layout of the step-by-step kernel: each
+/// transit record holds its (dr, dc) offset, the queue slab gets headroom
+/// over the deepest node, the records are scattered in discovery order and
+/// their nodes marked active. Returns the number of records in transit.
 i64 seed_route(Mesh& mesh, const Region& region, const Region& dest_region,
                RouteArena& ar, RouteStats& stats);
 
@@ -125,9 +172,8 @@ struct GreedyKernel {
 
   /// Hop sink into the local lane of slot s's neighbour in direction di.
   /// Both per-hop invariants are checked: the hop stays in the region, and
-  /// the neighbour table agrees with the snake order. `kMark` records the
-  /// deposit in the `arrived` bitmap for the serial absorb walk.
-  template <bool kMark>
+  /// the neighbour table agrees with the snake order. The deposit is marked
+  /// in the `arrived` bitmap for the absorb walk.
   void deposit(i64 s, Coord at, int di, const TransitRec& rec) {
     const Coord to = step_toward(at, static_cast<Dir>(di));
     MP_ASSERT(region.contains(to), "XY routing left the region");
@@ -138,7 +184,7 @@ struct GreedyKernel {
     const i64 lane = ds * kNumDirs + kLaneOfMove[di];
     lane_recs[lane] = rec;
     lane_full[lane] = 1;
-    if (kMark) set_bit(arrived, ds);
+    set_bit(arrived, ds);
   }
 
   Mesh& mesh;
@@ -197,13 +243,10 @@ inline i32 commit_node(GreedyKernel& k, i64 s, Coord at, const i32* best,
 /// The absorb: drains slot s's incoming lanes in the canonical order of its
 /// row's parity (the four lane flags become a 4-bit mask, permuted on
 /// west-going rows so ascending bits follow the canonical order), delivering
-/// arrived records to the node's buffer and requeueing the rest. A full
-/// queue calls `make_room(s, rec)`: true once the arena has grown (the
-/// record is then queued), false when the callee kept the record (a spill).
-/// Observes the logical depth (spills included) for max_queue and the
-/// counters. Returns the node's queue depth.
-template <class MakeRoom>
-inline i32 absorb_node(GreedyKernel& k, i64 s, MakeRoom&& make_room) {
+/// arrived records to the node's buffer and requeueing the rest; a full
+/// queue grows the arena in place. Observes the queue depth for max_queue
+/// and the counters. Returns the node's queue depth.
+inline i32 absorb_node(GreedyKernel& k, i64 s) {
   unsigned char* flags = k.lane_full + s * kNumDirs;
   u32 full;
   std::memcpy(&full, flags, sizeof(full));
@@ -217,7 +260,6 @@ inline i32 absorb_node(GreedyKernel& k, i64 s, MakeRoom&& make_room) {
     mask = (mask & 9u) | ((mask & 2u) << 1) | ((mask & 4u) >> 1);
   }
   i32 cnt = k.counts[s];
-  i64 spilled = 0;
   for (; mask != 0; mask &= mask - 1) {
     const TransitRec rec =
         k.lane_recs[s * kNumDirs + order[__builtin_ctz(mask)]];
@@ -229,17 +271,14 @@ inline i32 absorb_node(GreedyKernel& k, i64 s, MakeRoom&& make_room) {
     // The offset was updated at the sender; requeue verbatim.
     if (cnt >= k.cap) {
       k.counts[s] = cnt;
-      if (!make_room(s, rec)) {
-        ++spilled;
-        continue;
-      }
+      k.ar.grow(k.cap * 2);
+      k.reload();
     }
     k.queues[s * k.cap + cnt++] = rec;
   }
   k.counts[s] = cnt;
-  const i64 logical = cnt + spilled;
-  k.max_queue = std::max(k.max_queue, logical);
-  if (k.count_congestion) k.mesh.counters().observe_queue(id, logical);
+  k.max_queue = std::max<i64>(k.max_queue, cnt);
+  if (k.count_congestion) k.mesh.counters().observe_queue(id, cnt);
   return cnt;
 }
 
@@ -262,28 +301,24 @@ inline void forward_walk(GreedyKernel& k, Pick&& pick, Sink&& sink) {
   }
 }
 
-/// Serial absorb walk over the `arrived` bitmap (cleared on the way); a full
-/// queue grows the arena in place. Returns the packets delivered this step.
+/// Serial absorb walk over the `arrived` bitmap (cleared on the way).
+/// Returns the packets delivered this step.
 inline i64 absorb_walk(GreedyKernel& k) {
   const i64 before = k.delivered;
-  const auto grow = [&k](i64, const TransitRec&) {
-    k.ar.grow(k.cap * 2);
-    k.reload();
-    return true;
-  };
   for (i64 w = 0; w < k.words; ++w) {
     const u64 word = k.arrived[w];
     k.arrived[w] = 0;
     for (u64 bits = word; bits != 0; bits &= bits - 1) {
       const int b = __builtin_ctzll(bits);
-      if (absorb_node(k, w * 64 + b, grow) > 0) k.active[w] |= u64{1} << b;
+      if (absorb_node(k, w * 64 + b) > 0) k.active[w] |= u64{1} << b;
     }
   }
   return k.delivered - before;
 }
 
-/// Farthest-first pick of the fault-free routers: per direction, the record
-/// with the largest remaining distance, the first one on ties.
+/// Farthest-first pick of the fault-free step kernel (the band router): per
+/// direction, the record with the largest remaining distance, the first one
+/// on ties.
 inline void argmax_pick(const GreedyKernel& k, i64 s, i32* best) {
   static_assert(offsetof(TransitRec, dr) == 4 && offsetof(TransitRec, dc) == 6,
                 "simd::transit_argmax reads (dr, dc) at bytes 4 and 6");

@@ -77,7 +77,7 @@ class ScopedPool {
 
 /// True while the calling thread is executing loop indices handed out by a
 /// ThreadPool (including the calling thread's own participation). Kernels
-/// that can spawn an intra-region worker team (route_greedy stripes, the
+/// that can spawn an intra-region worker team (route_greedy line teams, the
 /// meshsort rounds) consult this to stay serial when they are themselves a
 /// pool task: the pool is not reentrant, and the per-region disjointness that
 /// makes the outer loop deterministic already provides the parallelism.

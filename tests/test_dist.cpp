@@ -263,7 +263,10 @@ TEST(DistMachineTest, RankThreadsPersistAcrossSteps) {
   // A traced machine registers each rank thread's telemetry ring once: the
   // ring count stays flat after the first step (fresh threads per step grew
   // it by one ring per rank per step). The machine stays bit-identical to
-  // the oracle throughout, including after a step every rank rejects.
+  // the oracle throughout, including after a step every rank rejects. The
+  // oracle runs on one thread: execution-pool workers register their rings
+  // whenever they first pick up work, which under load can be any step.
+  set_execution_threads(1);
   const int side = pick_side(3);
   ASSERT_GT(side, 0) << "no probed side admits 3 ranks";
   const SimConfig cfg = mid_mem_config(side);
@@ -301,6 +304,7 @@ TEST(DistMachineTest, RankThreadsPersistAcrossSteps) {
   EXPECT_EQ(machine.now(), oracle.now());
   telemetry::set_enabled(false);
   telemetry::clear();
+  set_execution_threads(0);
 }
 
 TEST(DistMachineTest, ModuleFaultPlanIdentity) {

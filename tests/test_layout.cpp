@@ -227,7 +227,7 @@ TEST_F(LayoutInvariance, HilbertMatchesRowMajorAcrossConfigsAndThreads) {
       {12, 2, 1080, 1, false},
       {8, 3, 1080, 1, false},
       {16, 2, 1080, 2, false},
-      {16, 2, 1080, hw, true},  // stripe teams + relayout together
+      {16, 2, 1080, hw, true},  // line teams + relayout together
   };
   for (const WorkloadCfg& w : configs) {
     set_node_order_override(NodeOrderKind::RowMajor);

@@ -117,7 +117,7 @@ TEST(ParallelEngine, StepStatsAreThreadCountInvariant) {
 }
 
 // The intra-region path (DESIGN.md §9): with the stripe threshold forced to 1
-// every route_greedy call runs on a row-stripe team and every meshsort round
+// every route_greedy call runs on a line team and every meshsort round
 // runs line-parallel, even on this small mesh. Reads, every StepStats field,
 // and all four congestion counter grids must be bit-identical across thread
 // counts AND identical to the serial whole-region path (stripes never

@@ -22,9 +22,14 @@
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "route_oracle.hpp"
 
 namespace meshpram {
 namespace {
+
+using testing_oracle::expect_matches_reference;
+using testing_oracle::route_on;
+using testing_oracle::RouteLeg;
 
 Packet mk(u64 key, i64 var = 0, i32 origin = 0) {
   Packet p;
@@ -699,23 +704,15 @@ TEST(Greedy, StaysWithinSubregion) {
   EXPECT_EQ(inside, 40);
 }
 
-/// Routes the same workload serially and on a forced stripe team, then
-/// demands bit-identical stats and node-by-node buffer layouts (delivery
-/// order included — the lane protocol must reproduce serial arrival order).
-void expect_striped_matches_serial(
-    const std::function<void(Mesh&)>& load) {
+/// Routes the same workload on one thread and on a 4-thread line team
+/// (forced on any region size), then demands bit-identical stats and
+/// node-by-node buffer layouts (delivery order included).
+void expect_team_matches_one_thread(const std::function<void(Mesh&)>& load) {
   Mesh ser(16, 16), par(16, 16);
   load(ser);
   load(par);
-
-  set_execution_threads(1);
-  const RouteStats ss = route_greedy(ser, ser.whole());
-  set_execution_threads(4);
-  set_stripe_min_nodes(1);
-  const RouteStats sp = route_greedy(par, par.whole());
-  set_stripe_min_nodes(0);
-  set_execution_threads(0);
-
+  const RouteStats ss = route_on(RouteLeg::Serial, ser, ser.whole());
+  const RouteStats sp = route_on(RouteLeg::Team, par, par.whole());
   EXPECT_EQ(ss.steps, sp.steps);
   EXPECT_EQ(ss.max_queue, sp.max_queue);
   EXPECT_EQ(ss.packets, sp.packets);
@@ -732,7 +729,7 @@ void expect_striped_matches_serial(
 }
 
 TEST(Greedy, StripedRandomTrafficMatchesSerial) {
-  expect_striped_matches_serial([](Mesh& mesh) {
+  expect_team_matches_one_thread([](Mesh& mesh) {
     Rng rng(4242);
     for (int i = 0; i < 800; ++i) {
       Packet p = mk(0, i);
@@ -743,10 +740,10 @@ TEST(Greedy, StripedRandomTrafficMatchesSerial) {
 }
 
 TEST(Greedy, StripedHotSpotMatchesSerial) {
-  // Every node fires 8 packets at 4 targets in one row: arrival queues blow
-  // far past the initial arena capacity, so the stripe workers' spill/grow
-  // rounds run many times. The layout must still match serial exactly.
-  expect_striped_matches_serial([](Mesh& mesh) {
+  // Every node fires 8 packets at 4 targets in one row: the column lines
+  // into row 7 carry long trains of turning packets, and each worker solves
+  // whole rows and columns of them. The layout must still match one thread.
+  expect_team_matches_one_thread([](Mesh& mesh) {
     int i = 0;
     for (i32 id = 0; id < mesh.size(); ++id) {
       for (int j = 0; j < 8; ++j) {
@@ -759,12 +756,14 @@ TEST(Greedy, StripedHotSpotMatchesSerial) {
 }
 
 TEST(Greedy, ArenaGrowMatchesPreGrownArena) {
-  // Adversarial convergence burst: every node fires 6 packets at a 2-node
-  // hot spot, so arrival queues overflow the initial arena layout (setup
-  // depth 6 + default headroom 2) and the in-place grow path runs. A second
-  // mesh routes the identical workload with the arena pre-grown far past the
-  // peak queue (headroom 512, grow never triggers); stats and node-by-node
-  // delivery order must be bit-identical.
+  // Adversarial convergence burst on the step-by-step kernel (the fault
+  // kernel under an inert plan; the band router shares its absorb): every
+  // node fires 6 packets at a 2-node hot spot, so arrival queues overflow
+  // the initial arena layout (setup depth 6 + default headroom 2) and the
+  // in-place grow path runs. A second mesh routes the identical workload
+  // with the arena pre-grown far past the peak queue (headroom 512, grow
+  // never triggers); stats and node-by-node delivery order must be
+  // bit-identical.
   const auto load = [](Mesh& mesh) {
     int i = 0;
     for (i32 id = 0; id < mesh.size(); ++id) {
@@ -780,12 +779,12 @@ TEST(Greedy, ArenaGrowMatchesPreGrownArena) {
   load(pre);
 
   ASSERT_EQ(route_initial_headroom(), 2);  // default: grow path will trigger
-  const RouteStats gs = route_greedy(grown, grown.whole());
+  const RouteStats gs = route_on(RouteLeg::Fault, grown, grown.whole());
   // Peak queue beyond setup depth + headroom proves the arena actually grew.
   ASSERT_GT(gs.max_queue, 6 + 2);
 
   set_route_initial_headroom(512);
-  const RouteStats ps = route_greedy(pre, pre.whole());
+  const RouteStats ps = route_on(RouteLeg::Fault, pre, pre.whole());
   set_route_initial_headroom(2);
 
   EXPECT_EQ(gs.steps, ps.steps);
@@ -803,199 +802,10 @@ TEST(Greedy, ArenaGrowMatchesPreGrownArena) {
   }
 }
 
-TEST(Greedy, ArenaGrowUnderStripesMatchesPreGrown) {
-  // Same adversarial burst on a forced stripe team: overflow takes the
-  // spill-and-merge path (workers may not resize the shared slab) instead of
-  // the serial in-place grow. Pre-growing must again change nothing.
-  Mesh grown(16, 16), pre(16, 16);
-  const auto load = [](Mesh& mesh) {
-    int i = 0;
-    for (i32 id = 0; id < mesh.size(); ++id) {
-      for (int j = 0; j < 6; ++j) {
-        Packet p = mk(0, i++, id);
-        p.dest = mesh.node_id({8, 7 + (id + j) % 2});
-        mesh.buf(id).push_back(p);
-      }
-    }
-  };
-  load(grown);
-  load(pre);
-
-  set_execution_threads(4);
-  set_stripe_min_nodes(1);
-  const RouteStats gs = route_greedy(grown, grown.whole());
-  ASSERT_GT(gs.max_queue, 6 + 2);
-  set_route_initial_headroom(1024);
-  const RouteStats ps = route_greedy(pre, pre.whole());
-  set_route_initial_headroom(2);
-  set_stripe_min_nodes(0);
-  set_execution_threads(0);
-
-  EXPECT_EQ(gs.steps, ps.steps);
-  EXPECT_EQ(gs.max_queue, ps.max_queue);
-  for (i32 id = 0; id < grown.size(); ++id) {
-    const auto& bg = grown.buf(id);
-    const auto& bp = pre.buf(id);
-    ASSERT_EQ(bg.size(), bp.size()) << "node " << id;
-    for (size_t i = 0; i < bg.size(); ++i) {
-      EXPECT_EQ(bg[i].origin, bp[i].origin) << "node " << id << " slot " << i;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Reference router: an independent oracle for route_greedy.
+// Reference router (route_oracle.hpp): an independent oracle for
+// route_greedy on every leg.
 // ---------------------------------------------------------------------------
-
-/// What one greedy route call leaves behind, as the reference computes it.
-struct RefRoute {
-  i64 steps = 0;
-  i64 max_queue = 0;
-  std::vector<std::vector<Packet>> bufs;  ///< final buffers, by node id
-  std::vector<i64> forwarded;             ///< counter grid, by node id
-  std::vector<i64> queue_peak;            ///< counter grid, by node id
-};
-
-/// Plain farthest-first XY routing: one vector queue per node, a full rescan
-/// of every node each step, and arrivals absorbed in the snake order of
-/// their senders (the serial sweep's canonical lane order). Shares nothing
-/// with route_greedy but the Packet type.
-RefRoute reference_route(const Mesh& mesh, const Region& g) {
-  const auto n = static_cast<size_t>(mesh.size());
-  RefRoute out;
-  out.bufs.resize(n);
-  out.forwarded.assign(n, 0);
-  out.queue_peak.assign(n, 0);
-  std::vector<std::vector<Packet>> queue(n);
-  i64 in_flight = 0;
-  for (i32 id = 0; id < mesh.size(); ++id) {
-    for (const Packet& p : mesh.buf(id)) {
-      auto& to = p.dest == id ? out.bufs[static_cast<size_t>(id)]
-                              : queue[static_cast<size_t>(id)];
-      to.push_back(p);
-      in_flight += p.dest == id ? 0 : 1;
-    }
-  }
-  const auto dir_of = [&](Coord at, Coord d) {
-    if (d.c != at.c) return d.c > at.c ? Dir::East : Dir::West;
-    return d.r > at.r ? Dir::South : Dir::North;
-  };
-  while (in_flight > 0) {
-    ++out.steps;
-    std::vector<std::pair<i32, Packet>> moves;  // (receiver, packet)
-    for (i64 s = 0; s < g.size(); ++s) {
-      const Coord at = g.at_snake(s);
-      auto& q = queue[static_cast<size_t>(mesh.node_id(at))];
-      int best[kNumDirs] = {-1, -1, -1, -1};
-      i64 best_rem[kNumDirs] = {0, 0, 0, 0};
-      for (size_t i = 0; i < q.size(); ++i) {
-        const Coord d = mesh.coord(q[i].dest);
-        const int di = static_cast<int>(dir_of(at, d));
-        if (best[di] < 0 || manhattan(at, d) > best_rem[di]) {
-          best[di] = static_cast<int>(i);
-          best_rem[di] = manhattan(at, d);
-        }
-      }
-      std::vector<Packet> keep;
-      for (size_t i = 0; i < q.size(); ++i) {
-        const Dir d = dir_of(at, mesh.coord(q[i].dest));
-        if (best[static_cast<int>(d)] == static_cast<int>(i)) {
-          moves.emplace_back(mesh.node_id(step_toward(at, d)), q[i]);
-          ++out.forwarded[static_cast<size_t>(mesh.node_id(at))];
-        } else {
-          keep.push_back(q[i]);
-        }
-      }
-      q = std::move(keep);
-    }
-    std::set<i32> receivers;
-    for (const auto& [to, p] : moves) {  // sender snake order
-      receivers.insert(to);
-      if (p.dest == to) {
-        out.bufs[static_cast<size_t>(to)].push_back(p);
-        --in_flight;
-      } else {
-        queue[static_cast<size_t>(to)].push_back(p);
-      }
-    }
-    for (const i32 id : receivers) {
-      const auto depth = static_cast<i64>(queue[static_cast<size_t>(id)].size());
-      out.max_queue = std::max(out.max_queue, depth);
-      i64& peak = out.queue_peak[static_cast<size_t>(id)];
-      peak = std::max(peak, depth);
-    }
-  }
-  return out;
-}
-
-/// The route_greedy kernels the reference checks: the serial kernel, the
-/// stripe team (4 threads, stripes forced on any region) and the fault
-/// kernel under an inert plan (a stall window outside the current PRAM step:
-/// affects_routing() holds, so the fault kernel runs, but nothing fires).
-enum class RouteKernel { Serial, Stripe, Fault };
-
-const char* route_kernel_name(RouteKernel k) {
-  switch (k) {
-    case RouteKernel::Serial: return "serial";
-    case RouteKernel::Stripe: return "stripe";
-    case RouteKernel::Fault: return "fault";
-  }
-  return "?";
-}
-
-/// Routes `load`'s packets with route_greedy on each kernel, congestion
-/// counters on, and demands the reference's steps, max_queue, per-node
-/// delivery order and counter grids from every one.
-void expect_matches_reference(int rows, int cols, const Region& g,
-                              NodeOrderKind order,
-                              const std::function<void(Mesh&)>& load) {
-  SCOPED_TRACE(::testing::Message() << rows << 'x' << cols << " region " << g
-                                    << ' ' << node_order_name(order));
-  for (const RouteKernel kernel :
-       {RouteKernel::Serial, RouteKernel::Stripe, RouteKernel::Fault}) {
-    SCOPED_TRACE(route_kernel_name(kernel));
-    Mesh mesh(rows, cols, order);
-    load(mesh);
-    const RefRoute want = reference_route(mesh, g);
-    fault::FaultPlan inert(rows, cols);
-    if (kernel == RouteKernel::Fault) {
-      fault::StallWindow w;
-      w.node = 0;
-      w.dir = rows > 1 ? Dir::South : Dir::East;
-      w.pram_from = mesh.fault_now() + 1;
-      inert.add_stall(w);
-      ASSERT_TRUE(inert.affects_routing());
-      mesh.set_fault_plan(&inert);
-    }
-    set_execution_threads(kernel == RouteKernel::Stripe ? 4 : 1);
-    if (kernel == RouteKernel::Stripe) set_stripe_min_nodes(1);
-    telemetry::set_enabled(true);
-    const bool sampled = telemetry::sampling_on();
-    const RouteStats got = route_greedy(mesh, g);
-    telemetry::set_enabled(false);
-    set_stripe_min_nodes(0);
-    set_execution_threads(0);
-    EXPECT_EQ(got.steps, want.steps);
-    EXPECT_EQ(got.max_queue, want.max_queue);
-    EXPECT_EQ(got.fault_retried, 0);
-    EXPECT_EQ(got.fault_detoured, 0);
-    EXPECT_EQ(got.fault_dropped, 0);
-    for (i32 id = 0; id < mesh.size(); ++id) {
-      const auto& b = mesh.buf(id);
-      const auto& w = want.bufs[static_cast<size_t>(id)];
-      ASSERT_EQ(b.size(), w.size()) << "node " << id;
-      for (size_t i = 0; i < b.size(); ++i) {
-        EXPECT_EQ(b[i].var, w[i].var) << "node " << id << " slot " << i;
-      }
-    }
-    // The counter grids fill only while sampling is on (never in a build
-    // with telemetry compiled out, where they must stay zero).
-    EXPECT_EQ(sampled, MESHPRAM_TELEMETRY != 0);
-    const std::vector<i64> zeros(want.forwarded.size(), 0);
-    EXPECT_EQ(mesh.counters().forwarded(), sampled ? want.forwarded : zeros);
-    EXPECT_EQ(mesh.counters().max_queue(), sampled ? want.queue_peak : zeros);
-  }
-}
 
 /// Traffic generators over region `g` (sources and destinations inside it).
 void random_traffic(Mesh& mesh, const Region& g, u64 seed, int packets) {
@@ -1031,6 +841,61 @@ void transpose_traffic(Mesh& mesh, const Region& g) {
   }
 }
 
+/// Every node of `g` sends `per_node` packets to random nodes of `g`.
+void dense_traffic(Mesh& mesh, const Region& g, u64 seed, int per_node) {
+  Rng rng(seed);
+  int i = 0;
+  for (i64 s = 0; s < g.size(); ++s) {
+    for (int j = 0; j < per_node; ++j) {
+      Packet p = mk(0, i++);
+      p.dest = mesh.node_id(g.at_snake(rng.range(0, g.size() - 1)));
+      mesh.buf(mesh.node_id(g.at_snake(s))).push_back(p);
+    }
+  }
+}
+
+/// Every node of `g` sends `per_node` packets to the one node `hot`.
+void all_to_one_traffic(Mesh& mesh, const Region& g, Coord hot, int per_node) {
+  int i = 0;
+  for (i64 s = 0; s < g.size(); ++s) {
+    for (int j = 0; j < per_node; ++j) {
+      Packet p = mk(0, i++);
+      p.dest = mesh.node_id(hot);
+      mesh.buf(mesh.node_id(g.at_snake(s))).push_back(p);
+    }
+  }
+}
+
+/// Every node of `g` sends `per_node` packets, cycling over three hot spots
+/// (a corner, the centre and a point on the far edge).
+void three_hot_spots_traffic(Mesh& mesh, const Region& g, int per_node) {
+  const i32 hot[3] = {
+      mesh.node_id({g.r0(), g.c0()}),
+      mesh.node_id({g.r0() + g.rows() / 2, g.c0() + g.cols() / 2}),
+      mesh.node_id({g.r0() + g.rows() - 1, g.c0() + g.cols() / 3})};
+  int i = 0;
+  for (i64 s = 0; s < g.size(); ++s) {
+    for (int j = 0; j < per_node; ++j) {
+      Packet p = mk(0, i++);
+      p.dest = hot[(s + j) % 3];
+      mesh.buf(mesh.node_id(g.at_snake(s))).push_back(p);
+    }
+  }
+}
+
+/// The node at (r, c) of `g` sends one packet to (rows-1-r, cols-1-c).
+void reverse_traffic(Mesh& mesh, const Region& g) {
+  int i = 0;
+  for (int r = 0; r < g.rows(); ++r) {
+    for (int c = 0; c < g.cols(); ++c) {
+      Packet p = mk(0, i++);
+      p.dest = mesh.node_id(
+          {g.r0() + g.rows() - 1 - r, g.c0() + g.cols() - 1 - c});
+      mesh.buf(mesh.node_id({g.r0() + r, g.c0() + c})).push_back(p);
+    }
+  }
+}
+
 TEST(Greedy, MatchesReferenceRouter) {
   struct Case {
     int rows, cols;
@@ -1040,6 +905,9 @@ TEST(Greedy, MatchesReferenceRouter) {
       {16, 16, Region(0, 0, 16, 16)}, {12, 10, Region(0, 0, 12, 10)},
       {16, 16, Region(3, 2, 7, 9)},   {16, 16, Region(5, 1, 1, 11)},
       {16, 16, Region(0, 9, 13, 1)},  {9, 14, Region(2, 3, 6, 6)},
+      // 1 x n and n x 1 meshes, and a region on an odd row and column.
+      {1, 24, Region(0, 0, 1, 24)},   {24, 1, Region(0, 0, 24, 1)},
+      {16, 16, Region(5, 3, 9, 11)},
   };
   for (const NodeOrderKind order :
        {NodeOrderKind::RowMajor, NodeOrderKind::Hilbert}) {
@@ -1056,8 +924,40 @@ TEST(Greedy, MatchesReferenceRouter) {
       expect_matches_reference(c.rows, c.cols, c.g, order, [&](Mesh& m) {
         transpose_traffic(m, c.g);
       });
+      expect_matches_reference(c.rows, c.cols, c.g, order, [&](Mesh& m) {
+        reverse_traffic(m, c.g);
+      });
     }
+    // Adversarial loads: deep queues, long trains of one priority class,
+    // hot receivers and a permutation whose every packet crosses the mesh.
+    const Region whole5(0, 0, 5, 5);
+    expect_matches_reference(5, 5, whole5, order, [&](Mesh& m) {
+      dense_traffic(m, whole5, 11, 30);
+    });
+    const Region whole16(0, 0, 16, 16);
+    expect_matches_reference(16, 16, whole16, order, [&](Mesh& m) {
+      all_to_one_traffic(m, whole16, {0, 0}, 4);
+    });
+    expect_matches_reference(16, 16, whole16, order, [&](Mesh& m) {
+      three_hot_spots_traffic(m, whole16, 6);
+    });
+    const Region odd(3, 5, 11, 9);
+    expect_matches_reference(16, 16, odd, order, [&](Mesh& m) {
+      three_hot_spots_traffic(m, odd, 4);
+    });
   }
+}
+
+TEST(Greedy, AllToOneSerializesOnTheReceiverLinks) {
+  // 4 packets from each of 256 nodes converge on corner (0, 0). XY routing
+  // turns every packet of rows 1..15 into column 0, so the one link into
+  // the corner from below carries 15 * 16 * 4 = 960 packets: 960 steps.
+  Mesh mesh(16, 16);
+  all_to_one_traffic(mesh, mesh.whole(), {0, 0}, 4);
+  const RouteStats rs = route_greedy(mesh, mesh.whole());
+  EXPECT_EQ(rs.steps, 960);
+  EXPECT_EQ(rs.max_queue, 64);
+  EXPECT_EQ(static_cast<i64>(mesh.buf(0).size()), 1024);
 }
 
 TEST(Greedy, AlternatingRegionShapesMatchFreshMesh) {
